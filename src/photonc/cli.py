@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (and verification pass), 1 verification failure,
 2 bad input (circuit/netlist files, specs, usage), 3 compile or internal
-errors. Output is deterministic for fixed inputs.
+errors and running out of memory. Output is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .compiler import (
     netlist_to_json,
 )
 from .diagram import render_diagram
-from .equivalence import basis_bridge, global_phase_distance
+from .equivalence import basis_bridge, bridge_conjugate, global_phase_distance
 from .optics import ModeAmplitudes, ModeSpace, NetlistError, OpticalNetlist, netlist_unitary, propagate
 from .scenarios import demo_mz, demo_teleport
 from .statevec import circuit_unitary
@@ -138,7 +138,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"pol={netlist.space.uses_pol}) does not match the circuit assignment"
         )
     bridge = basis_bridge(assignment)
-    reference = bridge @ circuit_unitary(circuit) @ bridge.T
+    reference = bridge_conjugate(circuit_unitary(circuit), bridge)
     report = global_phase_distance(reference, netlist_unitary(netlist), args.tol)
     print(report)
     return 0 if report.passed else 1
@@ -255,6 +255,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except (CompileError, NetlistError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory: a dense 2^n x 2^n operation does not fit; "
+              "use fewer qubits", file=sys.stderr)
         return 3
 
 

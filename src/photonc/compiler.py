@@ -657,9 +657,14 @@ def netlist_from_json(text: str) -> OpticalNetlist:
     except json.JSONDecodeError as exc:
         raise NetlistFormatError(f"invalid netlist JSON: {exc}") from None
     try:
-        if doc["version"] != 1:
-            raise NetlistFormatError(f"unsupported netlist version {doc['version']!r}")
-        space = ModeSpace(int(doc["n_loc"]), bool(doc["uses_pol"]))
+        version, n_loc, uses_pol = doc["version"], doc["n_loc"], doc["uses_pol"]
+        if type(version) is not int or version != 1:
+            raise NetlistFormatError(f"unsupported netlist version {version!r}")
+        if type(n_loc) is not int or n_loc < 0:
+            raise NetlistFormatError(f"n_loc must be a non-negative integer, got {n_loc!r}")
+        if type(uses_pol) is not bool:
+            raise NetlistFormatError(f"uses_pol must be true or false, got {uses_pol!r}")
+        space = ModeSpace(n_loc, uses_pol)
         layers = tuple(
             tuple(_element_from_doc(e) for e in layer) for layer in doc["layers"]
         )

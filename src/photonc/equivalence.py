@@ -85,3 +85,10 @@ def basis_bridge(assignment: QubitAssignment) -> np.ndarray:
             mode = path
         bridge[mode, index] = 1.0
     return bridge
+
+
+def bridge_conjugate(u: np.ndarray, bridge: np.ndarray) -> np.ndarray:
+    """bridge . u . bridge^T for a permutation bridge, by indexing instead of
+    two O(dim^3) products; the entries are exactly those of the product."""
+    idx = np.argmax(bridge, axis=1)
+    return u[np.ix_(idx, idx)]

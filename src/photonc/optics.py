@@ -23,6 +23,13 @@ A netlist is an ordered list of layers; elements within one layer must act
 on disjoint mode sets. An optional output relabeling (a path permutation
 applied after the last layer) models rerouting that is realized by renaming
 output ports instead of physically crossing beams.
+
+A layer (disjoint 2x2 blocks, phases and path swaps, like a column of a Reck
+or Clements mesh) is compiled when applied into one gather update x[t] =
+c0*x[s0] + c1*x[s1] on a vector or the rows of a block, which propagate,
+netlist_unitary and element_unitary share. verify stays independent of it
+through the statevec oracle, and the element conventions through tests
+against the circuit module's HADAMARD and PAULI_X constants.
 """
 
 from __future__ import annotations
@@ -201,34 +208,11 @@ def element_modes(element: OpticalElement, space: ModeSpace) -> frozenset[int]:
 
 
 def element_unitary(element: OpticalElement, space: ModeSpace) -> np.ndarray:
-    """Dense unitary of one element on the full mode space."""
+    """Dense unitary of one element on the full mode space: its layer
+    kernel applied to the identity."""
     _validate_element(element, space)
     u = np.eye(space.dim, dtype=complex)
-    if isinstance(element, BeamSplitter):
-        ct, st = math.cos(element.theta), math.sin(element.theta)
-        for ia, ib in zip(space.path_modes(element.path_a), space.path_modes(element.path_b)):
-            u[ia, ia] = ct
-            u[ib, ib] = ct
-            u[ia, ib] = 1j * st
-            u[ib, ia] = 1j * st
-    elif isinstance(element, PhaseShifter):
-        factor = cmath.exp(1j * element.phi)
-        for m in sorted(element_modes(element, space)):
-            u[m, m] = factor
-    elif isinstance(element, Rotator):
-        mh, mv = space.path_modes(element.path)
-        u[mh, mh] = u[mv, mv] = 0.0
-        u[mh, mv] = u[mv, mh] = 1.0
-    elif isinstance(element, PolarizingBeamSplitter):
-        va = space.path_modes(element.path_a)[1]
-        vb = space.path_modes(element.path_b)[1]
-        u[va, va] = u[vb, vb] = 0.0
-        u[va, vb] = u[vb, va] = 1j
-    elif isinstance(element, Crossing):
-        u = np.zeros((space.dim, space.dim), dtype=complex)
-        for src, dst in enumerate(element.path_map):
-            for offset, m in enumerate(space.path_modes(src)):
-                u[space.path_modes(dst)[offset], m] = 1.0
+    _apply_layer(u, (element,), space)
     return u
 
 
@@ -309,62 +293,78 @@ class OpticalNetlist:
             yield from layer
 
 
-def _permute_paths(vec: np.ndarray, path_map: Sequence[int], space: ModeSpace) -> None:
-    src = vec.copy()
-    for p, dst in enumerate(path_map):
-        if p == dst:
-            continue
-        for offset, m in enumerate(space.path_modes(p)):
-            vec[space.path_modes(dst)[offset]] = src[m]
+# Layer kernel: each entry turns one element into gather rows (target,
+# source0, coef0, source1, coef1) over modes path*w + pol, w = 2 on a
+# polarized space, else 1. Elements of a layer are disjoint, so all rows of
+# a layer update at once without reading a target another row writes.
 
 
-def _apply_element(vec: np.ndarray, element: OpticalElement, space: ModeSpace) -> None:
-    if isinstance(element, BeamSplitter):
-        ct, st = math.cos(element.theta), math.sin(element.theta)
-        for ia, ib in zip(space.path_modes(element.path_a), space.path_modes(element.path_b)):
-            va, vb = vec[ia], vec[ib]
-            vec[ia] = ct * va + 1j * st * vb
-            vec[ib] = 1j * st * va + ct * vb
-    elif isinstance(element, PhaseShifter):
-        factor = cmath.exp(1j * element.phi)
-        for m in element_modes(element, space):
-            vec[m] *= factor
-    elif isinstance(element, Rotator):
-        mh, mv = space.path_modes(element.path)
-        vec[mh], vec[mv] = vec[mv], vec[mh]
-    elif isinstance(element, PolarizingBeamSplitter):
-        va = space.path_modes(element.path_a)[1]
-        vb = space.path_modes(element.path_b)[1]
-        vec[va], vec[vb] = 1j * vec[vb], 1j * vec[va]
-    elif isinstance(element, Crossing):
-        _permute_paths(vec, element.path_map, space)
-    else:
-        raise NetlistError(f"unknown element {element!r}")
+def _splitter_rows(e: BeamSplitter, w: int) -> tuple:
+    ct, ist = math.cos(e.theta), 1j * math.sin(e.theta)
+    a, b = e.path_a * w, e.path_b * w
+    rows = ((a, a, ct, b, ist), (b, b, ct, a, ist))
+    if w == 2:
+        rows += ((a + 1, a + 1, ct, b + 1, ist), (b + 1, b + 1, ct, a + 1, ist))
+    return rows
+
+
+def _shifter_rows(e: PhaseShifter, w: int) -> tuple:
+    m, factor = e.path * w, cmath.exp(1j * e.phi)
+    if e.pol_filter == POL_BOTH and w == 2:
+        return ((m, m, factor, m, 0.0), (m + 1, m + 1, factor, m + 1, 0.0))
+    m += e.pol_filter == POL_V
+    return ((m, m, factor, m, 0.0),)
+
+
+def _rotator_rows(e: Rotator, w: int) -> tuple:
+    h, v = e.path * 2, e.path * 2 + 1
+    return ((h, v, 1.0, v, 0.0), (v, h, 1.0, h, 0.0))
+
+
+def _pbs_rows(e: PolarizingBeamSplitter, w: int) -> tuple:
+    va, vb = e.path_a * 2 + 1, e.path_b * 2 + 1
+    return ((va, vb, 1j, vb, 0.0), (vb, va, 1j, va, 0.0))
+
+
+def _crossing_rows(e: Crossing, w: int) -> list:
+    moves = [(d * w + k, s * w + k) for s, d in enumerate(e.path_map) if s != d for k in range(w)]
+    return [(t, s, 1.0, s, 0.0) for t, s in moves]
+
+
+_KERNEL_ROWS = {BeamSplitter: _splitter_rows, PhaseShifter: _shifter_rows, Rotator: _rotator_rows,
+                PolarizingBeamSplitter: _pbs_rows, Crossing: _crossing_rows}
+_ROW_DTYPES = (np.intp, np.intp, complex, np.intp, complex)
+
+
+def _apply_layer(x: np.ndarray, layer: Iterable[OpticalElement], space: ModeSpace) -> None:
+    """Apply one layer in place to a mode vector or the rows of a (dim, k) block."""
+    w = 2 if space.uses_pol else 1
+    rows = [row for e in layer for row in _KERNEL_ROWS[type(e)](e, w)]
+    if not rows:
+        return
+    t, s0, c0, s1, c1 = (np.array(col, dtype) for col, dtype in zip(zip(*rows), _ROW_DTYPES))
+    if x.ndim == 2:
+        c0, c1 = c0[:, None], c1[:, None]
+    x[t] = c0 * x[s0] + c1 * x[s1]
+
+
+def _stream(x: np.ndarray, netlist: OpticalNetlist) -> np.ndarray:
+    for layer in netlist.layers:
+        _apply_layer(x, layer, netlist.space)
+    if netlist.output_relabel is not None:
+        _apply_layer(x, (Crossing(netlist.output_relabel),), netlist.space)
+    return x
 
 
 def propagate(netlist: OpticalNetlist, amplitudes: ModeAmplitudes) -> ModeAmplitudes:
-    """Stream the amplitude vector through the netlist layer by layer.
-
-    Never materializes the netlist unitary; agreement with netlist_unitary
-    is a standing cross-check in the test suite.
-    """
+    """Stream the amplitude vector through the layer kernels. They are the
+    ones netlist_unitary uses, so the two agree by construction."""
     if amplitudes.space != netlist.space:
         raise NetlistError("amplitude vector and netlist live on different mode spaces")
-    vec = amplitudes.amplitudes.copy()
-    for layer in netlist.layers:
-        for element in layer:
-            _apply_element(vec, element, netlist.space)
-    if netlist.output_relabel is not None:
-        _permute_paths(vec, netlist.output_relabel, netlist.space)
-    return ModeAmplitudes(netlist.space, vec)
+    return ModeAmplitudes(netlist.space, _stream(amplitudes.amplitudes.copy(), netlist))
 
 
 def netlist_unitary(netlist: OpticalNetlist) -> np.ndarray:
-    """Dense unitary of the whole netlist, output relabeling included."""
-    u = np.eye(netlist.space.dim, dtype=complex)
-    for layer in netlist.layers:
-        for element in layer:
-            u = element_unitary(element, netlist.space) @ u
-    if netlist.output_relabel is not None:
-        u = element_unitary(Crossing(netlist.output_relabel), netlist.space) @ u
-    return u
+    """Dense unitary of the whole netlist, output relabeling included: the
+    identity streamed through the layer kernels, O(layers * dim^2)."""
+    return _stream(np.eye(netlist.space.dim, dtype=complex), netlist)

@@ -128,6 +128,27 @@ class TestVerify:
         bad.write_text("{nope", encoding="utf-8")
         assert main(["verify", teleport_qc, str(bad)]) == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("uses_pol", "no"), ("uses_pol", 1),
+        ("n_loc", True), ("n_loc", 2.0), ("n_loc", -1), ("n_loc", "2"),
+        ("version", True), ("version", 1.0),
+    ])
+    def test_header_types_are_strict(self, teleport_qc, teleport_netlist, tmp_path, capsys, key, value):
+        doc = json.loads(open(teleport_netlist).read())
+        doc[key] = value
+        bad = tmp_path / "bad_header.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", teleport_qc, str(bad)]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_out_of_memory_is_exit_3(self, teleport_qc, teleport_netlist, monkeypatch, capsys):
+        def too_big(netlist):
+            raise MemoryError
+
+        monkeypatch.setattr("photonc.cli.netlist_unitary", too_big)
+        assert main(["verify", teleport_qc, teleport_netlist]) == 3
+        assert "out of memory" in capsys.readouterr().err
+
 
 class TestRun:
     def test_basis_input_probabilities(self, teleport_netlist, capsys):

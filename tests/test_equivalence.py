@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,12 @@ from photonc.compiler import QubitAssignment
 from photonc.equivalence import (
     EquivalenceReport,
     basis_bridge,
+    bridge_conjugate,
     global_phase_distance,
     state_fidelity,
 )
-from photonc.statevec import StateVector
-from conftest import haar_u2
+from photonc.statevec import StateVector, circuit_unitary
+from conftest import haar_u2, random_assignment, random_circuit
 
 
 class TestGlobalPhaseDistance:
@@ -117,3 +120,21 @@ class TestBasisBridge:
         # |01>: qubit 1 set -> high path bit set -> mode 2
         assert bridge[2, 1] == 1.0
         assert bridge[1, 2] == 1.0
+
+
+class TestBridgeConjugate:
+    def check(self, circuit, assignment):
+        bridge = basis_bridge(assignment)
+        u = circuit_unitary(circuit)
+        assert np.array_equal(bridge_conjugate(u, bridge), bridge @ u @ bridge.T)
+
+    def test_bundled_circuits(self):
+        for qc in resources.files("photonc").joinpath("circuits").iterdir():
+            circuit = parse_circuit(qc.read_text(encoding="utf-8"))
+            self.check(circuit, QubitAssignment.for_circuit(circuit))
+
+    def test_random_circuits(self):
+        rng = np.random.default_rng(131)
+        for n in (1, 2, 3, 4, 5):
+            for _ in range(4):
+                self.check(random_circuit(rng, n, 12), random_assignment(rng, n))

@@ -1,0 +1,118 @@
+"""Properties of the layer kernel behind propagate, netlist_unitary and
+element_unitary, on random layered netlists."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from photonc.optics import (
+    POL_BOTH,
+    POL_H,
+    POL_V,
+    BeamSplitter,
+    Crossing,
+    ModeAmplitudes,
+    ModeSpace,
+    OpticalNetlist,
+    PhaseShifter,
+    PolarizingBeamSplitter,
+    Rotator,
+    element_unitary,
+    netlist_unitary,
+    propagate,
+)
+
+ANGLES = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+
+
+@st.composite
+def layers_on(draw, space):
+    """Layers of several elements on disjoint paths, every kind the space allows."""
+    kinds = ["bs", "ps", "cross"] + (["rot", "pbs"] if space.uses_pol else [])
+    layers = []
+    for _ in range(draw(st.integers(0, 5))):
+        free = list(draw(st.permutations(range(space.n_paths))))
+        layer = []
+        while free and draw(st.booleans()):
+            kind = draw(st.sampled_from(kinds))
+            if kind in ("bs", "pbs", "cross") and len(free) < 2:
+                kind = "ps"
+            if kind == "bs":
+                layer.append(BeamSplitter(free.pop(), free.pop(), draw(ANGLES)))
+            elif kind == "pbs":
+                layer.append(PolarizingBeamSplitter(free.pop(), free.pop()))
+            elif kind == "rot":
+                layer.append(Rotator(free.pop()))
+            elif kind == "ps":
+                pols = (POL_H, POL_V, POL_BOTH) if space.uses_pol else (POL_BOTH,)
+                layer.append(PhaseShifter(free.pop(), draw(ANGLES), draw(st.sampled_from(pols))))
+            else:
+                moved = [free.pop() for _ in range(draw(st.integers(2, len(free))))]
+                path_map = list(range(space.n_paths))
+                for src, dst in zip(moved, draw(st.permutations(moved))):
+                    path_map[src] = dst
+                layer.append(Crossing(tuple(path_map)))
+        layers.append(tuple(layer))
+    return tuple(layers)
+
+
+@st.composite
+def netlists(draw):
+    space = ModeSpace(draw(st.integers(1, 3)), draw(st.booleans()))
+    relabel = draw(st.none() | st.permutations(range(space.n_paths)))
+    return OpticalNetlist(space, draw(layers_on(space)), output_relabel=relabel)
+
+
+def element_product(net):
+    u = np.eye(net.space.dim, dtype=complex)
+    for element in net.elements():
+        u = element_unitary(element, net.space) @ u
+    if net.output_relabel is not None:
+        u = element_unitary(Crossing(net.output_relabel), net.space) @ u
+    return u
+
+
+@settings(max_examples=100, deadline=None)
+@given(netlists())
+def test_unitary_is_ordered_element_product(net):
+    assert np.max(np.abs(netlist_unitary(net) - element_product(net))) < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(netlists(), st.integers(0, 2**32 - 1))
+def test_propagate_matches_unitary(net, seed):
+    rng = np.random.default_rng(seed)
+    vec = rng.normal(size=net.space.dim) + 1j * rng.normal(size=net.space.dim)
+    out = propagate(net, ModeAmplitudes(net.space, vec)).amplitudes
+    assert np.max(np.abs(out - netlist_unitary(net) @ vec)) < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(netlists())
+def test_unitary_is_unitary(net):
+    u = netlist_unitary(net)
+    assert np.max(np.abs(u @ u.conj().T - np.eye(net.space.dim))) < 1e-12
+
+
+def test_mixed_polarized_layer_against_hand_matrix():
+    # paths 0..7, modes path*2 + pol: rotator on path 0, PBS on paths 1 and 2,
+    # splitter on paths 3 and 5; paths 4, 6 and 7 pass untouched.
+    space = ModeSpace(3, uses_pol=True)
+    theta = 0.3
+    c, s = math.cos(theta), 1j * math.sin(theta)
+    expected = np.zeros((16, 16), dtype=complex)
+    expected[0, 1] = expected[1, 0] = 1.0
+    expected[2, 2] = expected[4, 4] = 1.0
+    expected[3, 5] = expected[5, 3] = 1j
+    for a, b in ((6, 10), (7, 11)):
+        expected[a, a] = expected[b, b] = c
+        expected[a, b] = expected[b, a] = s
+    for m in (8, 9, 12, 13, 14, 15):
+        expected[m, m] = 1.0
+    layer = (Rotator(0), PolarizingBeamSplitter(1, 2), BeamSplitter(3, 5, theta))
+    net = OpticalNetlist(space, (layer,))
+    assert np.max(np.abs(netlist_unitary(net) - expected)) < 1e-15
+    vec = np.arange(16) + 1j * np.arange(16)[::-1]
+    assert np.max(np.abs(propagate(net, ModeAmplitudes(space, vec)).amplitudes - expected @ vec)) < 1e-13
