@@ -247,10 +247,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (CircuitParseError, NetlistFormatError) as exc:
+    except (_UsageError, CircuitParseError, NetlistFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CompileError, NetlistError, ValueError) as exc:

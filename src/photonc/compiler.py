@@ -33,6 +33,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -40,28 +41,25 @@ import numpy as np
 
 from .circuit import Gate, GateKind, QuantumCircuit, gate_text, one_qubit_matrix
 from .optics import (
+    ELEMENT_KINDS,
     POL_BOTH,
     POL_V,
     BeamSplitter,
     Crossing,
     Layer,
     ModeSpace,
-    NetlistError,
+    NetlistFormatError,
     OpticalElement,
     OpticalNetlist,
     PhaseShifter,
     PolarizingBeamSplitter,
     Rotator,
-    element_modes,
+    _doc_typed,
 )
 
 
 class CompileError(ValueError):
     """Gate, assignment, or option combination that cannot be lowered."""
-
-
-class NetlistFormatError(ValueError):
-    """Malformed netlist file."""
 
 
 @dataclass(frozen=True)
@@ -210,35 +208,21 @@ def _zero_angle(angle: float) -> bool:
     return abs(angle) < _ZERO_ANGLE
 
 
-def _assembly_parts(
-    dec: U2Decomposition, p0: int, p1: int
-) -> tuple[list[OpticalElement], list[OpticalElement], list[OpticalElement]]:
+def _u2_assembly(
+    parts: Iterable[tuple[U2Decomposition, int, int]]
+) -> list[list[OpticalElement]]:
+    """Phase-in, splitter, phase-out layers realizing each (dec, p0, p1) on
+    its path pair; the pairs must be disjoint."""
     pre: list[OpticalElement] = []
     mid: list[OpticalElement] = []
     post: list[OpticalElement] = []
-    if not _zero_angle(dec.phi_in_a):
-        pre.append(PhaseShifter(p0, dec.phi_in_a))
-    if not _zero_angle(dec.phi_in_b):
-        pre.append(PhaseShifter(p1, dec.phi_in_b))
-    if not _zero_angle(dec.theta):
-        mid.append(BeamSplitter(p0, p1, dec.theta))
-    if not _zero_angle(dec.phi_out_a):
-        post.append(PhaseShifter(p0, dec.phi_out_a))
-    if not _zero_angle(dec.phi_out_b):
-        post.append(PhaseShifter(p1, dec.phi_out_b))
-    return pre, mid, post
-
-
-def _u2_assembly(dec: U2Decomposition, pairs: Sequence[tuple[int, int]]) -> list[list[OpticalElement]]:
-    """Phase-in, splitter, phase-out layers realizing dec on disjoint pairs."""
-    pre: list[OpticalElement] = []
-    mid: list[OpticalElement] = []
-    post: list[OpticalElement] = []
-    for p0, p1 in pairs:
-        parts = _assembly_parts(dec, p0, p1)
-        pre.extend(parts[0])
-        mid.extend(parts[1])
-        post.extend(parts[2])
+    for dec, p0, p1 in parts:
+        pre += [PhaseShifter(p, phi) for p, phi in ((p0, dec.phi_in_a), (p1, dec.phi_in_b))
+                if not _zero_angle(phi)]
+        if not _zero_angle(dec.theta):
+            mid.append(BeamSplitter(p0, p1, dec.theta))
+        post += [PhaseShifter(p, phi) for p, phi in ((p0, dec.phi_out_a), (p1, dec.phi_out_b))
+                 if not _zero_angle(phi)]
     return [layer for layer in (pre, mid, post) if layer]
 
 
@@ -333,15 +317,14 @@ def _swap_loc_pol_stage(
 
 
 def _lower_1q_location(matrix: np.ndarray, qubit: int, assignment: QubitAssignment):
-    return _u2_assembly(decompose_u2(matrix), _bit_pairs(assignment, qubit, ()))
+    dec = decompose_u2(matrix)
+    return _u2_assembly((dec, p0, p1) for p0, p1 in _bit_pairs(assignment, qubit, ()))
 
 
 def _lower_1q_pol(gate: Gate, assignment: QubitAssignment) -> list[list[OpticalElement]]:
-    n_paths = 1 << assignment.n_loc
-    every_path: tuple[int, ...] = tuple(range(n_paths))
     kind = gate.kind
     if kind is GateKind.X:
-        return [[Rotator(p) for p in every_path]]
+        return _rotator_stage(assignment, ())
     if kind is GateKind.Z:
         return _phase_stage(assignment, (), math.pi, POL_V)
     if kind is GateKind.S:
@@ -513,9 +496,9 @@ def prune_dead_paths(netlist: OpticalNetlist, input_support: Iterable[int]) -> O
     kept_layers: list[Layer] = []
     kept_notes: list[str] = []
     for layer, note in zip(netlist.layers, netlist.source_gates):
-        kept = tuple(e for e in layer if element_modes(e, netlist.space) & live)
+        kept = tuple(e for e in layer if e.modes(netlist.space) & live)
         for element in kept:
-            live |= element_modes(element, netlist.space)
+            live |= element.modes(netlist.space)
         if kept:
             kept_layers.append(kept)
             kept_notes.append(note)
@@ -526,24 +509,13 @@ def prune_dead_paths(netlist: OpticalNetlist, input_support: Iterable[int]) -> O
 
 def device_stats(netlist: OpticalNetlist) -> DeviceStats:
     """Exact element counts from a direct scan of the netlist layers."""
-    bs = pbs = ps = rot = cross = 0
-    for element in netlist.elements():
-        if isinstance(element, BeamSplitter):
-            bs += 1
-        elif isinstance(element, PolarizingBeamSplitter):
-            pbs += 1
-        elif isinstance(element, PhaseShifter):
-            ps += 1
-        elif isinstance(element, Rotator):
-            rot += 1
-        elif isinstance(element, Crossing):
-            cross += 1
+    counts = Counter(type(e) for e in netlist.elements())
     return DeviceStats(
-        beam_splitters=bs,
-        polarizing_beam_splitters=pbs,
-        phase_shifters=ps,
-        rotators=rot,
-        crossings=cross,
+        beam_splitters=counts[BeamSplitter],
+        polarizing_beam_splitters=counts[PolarizingBeamSplitter],
+        phase_shifters=counts[PhaseShifter],
+        rotators=counts[Rotator],
+        crossings=counts[Crossing],
         n_paths=netlist.space.n_paths,
         n_modes=netlist.space.dim,
     )
@@ -566,8 +538,8 @@ def prepare_location_state(
         raise CompileError("preparation amplitudes must be normalized")
     if assignment.is_pol(qubit):
         raise CompileError("preparation targets a location qubit")
-    pair = (0, assignment.path_delta(qubit))
-    return _u2_assembly(decompose_u2(_column_completion(complex(a), complex(b))), [pair])
+    dec = decompose_u2(_column_completion(complex(a), complex(b)))
+    return _u2_assembly([(dec, 0, assignment.path_delta(qubit))])
 
 
 def prepare_path_state(amplitudes: Sequence[complex], space: ModeSpace) -> list[list[OpticalElement]]:
@@ -583,11 +555,8 @@ def prepare_path_state(amplitudes: Sequence[complex], space: ModeSpace) -> list[
     for level in range(space.n_loc):
         seg = space.n_paths >> level
         half = seg >> 1
-        pre: list[OpticalElement] = []
-        mid: list[OpticalElement] = []
-        post: list[OpticalElement] = []
-        for node in range(1 << level):
-            base = node * seg
+        parts = []
+        for base in range(0, space.n_paths, seg):
             total = float(np.linalg.norm(target[base : base + seg]))
             if total < 1e-15:
                 continue
@@ -596,44 +565,19 @@ def prepare_path_state(amplitudes: Sequence[complex], space: ModeSpace) -> list[
             else:
                 first = float(np.linalg.norm(target[base : base + half])) / total
                 second = float(np.linalg.norm(target[base + half : base + seg])) / total
-            dec = decompose_u2(_column_completion(first, second))
-            parts = _assembly_parts(dec, base, base + half)
-            pre.extend(parts[0])
-            mid.extend(parts[1])
-            post.extend(parts[2])
-        layers.extend(layer for layer in (pre, mid, post) if layer)
+            parts.append((decompose_u2(_column_completion(first, second)), base, base + half))
+        layers.extend(_u2_assembly(parts))
     return layers
 
 
-def _element_to_doc(element: OpticalElement) -> dict:
-    if isinstance(element, BeamSplitter):
-        return {"type": "bs", "paths": [element.path_a, element.path_b], "theta": element.theta}
-    if isinstance(element, PhaseShifter):
-        return {"type": "ps", "path": element.path, "pol": element.pol_filter, "phi": element.phi}
-    if isinstance(element, Rotator):
-        return {"type": "rot", "path": element.path}
-    if isinstance(element, PolarizingBeamSplitter):
-        return {"type": "pbs", "paths": [element.path_a, element.path_b]}
-    if isinstance(element, Crossing):
-        return {"type": "perm", "map": list(element.path_map)}
-    raise NetlistError(f"unknown element {element!r}")
+_KIND_BY_TAG = {kind.tag: kind for kind in ELEMENT_KINDS}
 
 
-def _element_from_doc(doc: dict) -> OpticalElement:
-    kind = doc.get("type")
-    if kind == "bs":
-        a, b = doc["paths"]
-        return BeamSplitter(int(a), int(b), float(doc["theta"]))
-    if kind == "ps":
-        return PhaseShifter(int(doc["path"]), float(doc["phi"]), str(doc["pol"]))
-    if kind == "rot":
-        return Rotator(int(doc["path"]))
-    if kind == "pbs":
-        a, b = doc["paths"]
-        return PolarizingBeamSplitter(int(a), int(b))
-    if kind == "perm":
-        return Crossing(tuple(int(p) for p in doc["map"]))
-    raise NetlistFormatError(f"unknown element type {kind!r}")
+def _kind_of(doc: dict) -> type:
+    kind = _KIND_BY_TAG.get(doc.get("type"))
+    if kind is None:
+        raise NetlistFormatError(f"unknown element type {doc.get('type')!r}")
+    return kind
 
 
 def netlist_to_json(netlist: OpticalNetlist) -> str:
@@ -645,7 +589,7 @@ def netlist_to_json(netlist: OpticalNetlist) -> str:
         "version": 1,
         "n_loc": netlist.space.n_loc,
         "uses_pol": netlist.space.uses_pol,
-        "layers": [[_element_to_doc(e) for e in layer] for layer in netlist.layers],
+        "layers": [[e.to_doc() for e in layer] for layer in netlist.layers],
         "meta": meta,
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -666,14 +610,16 @@ def netlist_from_json(text: str) -> OpticalNetlist:
             raise NetlistFormatError(f"uses_pol must be true or false, got {uses_pol!r}")
         space = ModeSpace(n_loc, uses_pol)
         layers = tuple(
-            tuple(_element_from_doc(e) for e in layer) for layer in doc["layers"]
+            tuple(_kind_of(e).from_doc(e) for e in layer) for layer in doc["layers"]
         )
         meta = doc.get("meta", {})
-        notes = tuple(str(s) for s in meta.get("source_gates", ()))
+        notes = tuple(_doc_typed(s, str, "source gate") for s in meta.get("source_gates", ()))
         relabel_doc = meta.get("output_relabel")
-        relabel = tuple(int(p) for p in relabel_doc) if relabel_doc is not None else None
+        relabel = None
+        if relabel_doc is not None:
+            relabel = tuple(_doc_typed(p, int, "output relabel entry") for p in relabel_doc)
         return OpticalNetlist(space, layers, notes, relabel)
     except NetlistFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise NetlistFormatError(f"invalid netlist document: {exc}") from None

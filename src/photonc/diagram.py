@@ -8,37 +8,10 @@ relabeling stored on the netlist.
 
 from __future__ import annotations
 
-from .optics import (
-    BeamSplitter,
-    Crossing,
-    OpticalElement,
-    OpticalNetlist,
-    PhaseShifter,
-    PolarizingBeamSplitter,
-    Rotator,
-    element_modes,
-)
+from .optics import OpticalNetlist
 
 _TIE = "┆"
 _RAIL = "─"
-
-
-def _glyph(element: OpticalElement) -> str:
-    if isinstance(element, BeamSplitter):
-        return "BS"
-    if isinstance(element, PolarizingBeamSplitter):
-        return "PBS"
-    if isinstance(element, Rotator):
-        return "R"
-    if isinstance(element, Crossing):
-        return "✕"
-    if isinstance(element, PhaseShifter):
-        if element.pol_filter == "H":
-            return "φh"
-        if element.pol_filter == "V":
-            return "φv"
-        return "φ"
-    raise TypeError(f"unknown element {element!r}")
 
 
 def render_diagram(netlist: OpticalNetlist) -> str:
@@ -46,10 +19,8 @@ def render_diagram(netlist: OpticalNetlist) -> str:
     n_rows = space.dim
     left = [space.mode_label(m) for m in range(n_rows)]
     relabel = netlist.output_relabel or tuple(range(space.n_paths))
-    if space.uses_pol:
-        right = [space.mode_label(relabel[m >> 1] * 2 + (m & 1)) for m in range(n_rows)]
-    else:
-        right = [space.mode_label(relabel[m]) for m in range(n_rows)]
+    w = 2 if space.uses_pol else 1
+    right = [space.mode_label(relabel[m // w] * w + m % w) for m in range(n_rows)]
     label_w = max(len(s) for s in left)
 
     columns: list[dict[int, str]] = []
@@ -57,8 +28,8 @@ def render_diagram(netlist: OpticalNetlist) -> str:
     for layer in netlist.layers:
         tokens: dict[int, str] = {}
         for element in layer:
-            modes = sorted(element_modes(element, space))
-            tokens[modes[0]] = _glyph(element)
+            modes = sorted(element.modes(space))
+            tokens[modes[0]] = element.glyph
             for m in modes[1:]:
                 tokens[m] = _TIE
         columns.append(tokens)

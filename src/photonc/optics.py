@@ -24,12 +24,20 @@ on disjoint mode sets. An optional output relabeling (a path permutation
 applied after the last layer) models rerouting that is realized by renaming
 output ports instead of physically crossing beams.
 
+Each element kind is one frozen dataclass that owns the whole kind: its
+validation against a mode space, its footprint (modes), its layer-kernel
+rows, its JSON form (tag, to_doc, from_doc) and its diagram glyph. Adding a
+kind means adding one class here plus its lowering in the compiler.
+
 A layer (disjoint 2x2 blocks, phases and path swaps, like a column of a Reck
 or Clements mesh) is compiled when applied into one gather update x[t] =
 c0*x[s0] + c1*x[s1] on a vector or the rows of a block, which propagate,
-netlist_unitary and element_unitary share. verify stays independent of it
-through the statevec oracle, and the element conventions through tests
-against the circuit module's HADAMARD and PAULI_X constants.
+netlist_unitary and element_unitary share. Each element's rows(w) are its
+(t, s0, c0, s1, c1) over modes path*w + pol, w = 2 on a polarized space,
+else 1; they stay inside the element's modes, so a layer's rows update at
+once without one reading a target another writes. verify stays independent
+of the kernel through the statevec oracle, and the element conventions
+through tests against the circuit module's HADAMARD and PAULI_X constants.
 """
 
 from __future__ import annotations
@@ -44,6 +52,10 @@ import numpy as np
 
 class NetlistError(ValueError):
     """Element or netlist inconsistent with its mode space."""
+
+
+class NetlistFormatError(ValueError):
+    """Malformed netlist file."""
 
 
 POL_H = "H"
@@ -111,8 +123,35 @@ class ModeSpace:
             raise NetlistError(f"mode {mode} out of range for dim {self.dim}")
 
     def _check_path(self, path: int) -> None:
-        if not 0 <= path < self.n_paths:
+        if not 0 <= path < 1 << self.n_loc:  # not self.n_paths: one call less on a hot path
             raise NetlistError(f"path {path} out of range for {self.n_paths} path(s)")
+
+
+def _doc_typed(value, kind: type, what: str):
+    """A decoded JSON value whose type is exactly kind: a bool is no int, and
+    a float is refused where an int belongs rather than truncated."""
+    if type(value) is not kind:
+        raise NetlistFormatError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
+def _doc_angle(value, what: str) -> float:
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise NetlistFormatError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _doc_pair(value) -> tuple[int, int]:
+    if len(_doc_typed(value, list, "paths")) != 2:
+        raise NetlistFormatError(f"paths must list exactly two paths, got {value!r}")
+    return _doc_typed(value[0], int, "path"), _doc_typed(value[1], int, "path")
+
+
+def _check_pair(space: ModeSpace, a: int, b: int, name: str) -> None:
+    space._check_path(a)
+    space._check_path(b)
+    if a == b:
+        raise NetlistError(f"{name} needs two distinct paths")
 
 
 @dataclass(frozen=True)
@@ -121,6 +160,32 @@ class BeamSplitter:
     path_b: int
     theta: float = math.pi / 4
 
+    tag = "bs"
+    glyph = "BS"
+
+    def validate(self, space: ModeSpace) -> None:
+        _check_pair(space, self.path_a, self.path_b, "beam splitter")
+        if not math.isfinite(self.theta):
+            raise NetlistError("beam splitter angle must be finite")
+
+    def modes(self, space: ModeSpace) -> frozenset[int]:
+        return frozenset(space.path_modes(self.path_a) + space.path_modes(self.path_b))
+
+    def rows(self, w: int) -> tuple:
+        ct, ist = math.cos(self.theta), 1j * math.sin(self.theta)
+        a, b = self.path_a * w, self.path_b * w
+        rows = ((a, a, ct, b, ist), (b, b, ct, a, ist))
+        if w == 2:
+            rows += ((a + 1, a + 1, ct, b + 1, ist), (b + 1, b + 1, ct, a + 1, ist))
+        return rows
+
+    def to_doc(self) -> dict:
+        return {"type": self.tag, "paths": [self.path_a, self.path_b], "theta": self.theta}
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> BeamSplitter:
+        return cls(*_doc_pair(doc["paths"]), _doc_angle(doc["theta"], "theta"))
+
 
 @dataclass(frozen=True)
 class PhaseShifter:
@@ -128,10 +193,68 @@ class PhaseShifter:
     phi: float
     pol_filter: str = POL_BOTH
 
+    tag = "ps"
+
+    @property
+    def glyph(self) -> str:
+        return {POL_H: "φh", POL_V: "φv"}.get(self.pol_filter, "φ")
+
+    def validate(self, space: ModeSpace) -> None:
+        space._check_path(self.path)
+        if self.pol_filter not in _POL_FILTERS:
+            raise NetlistError(f"bad pol filter {self.pol_filter!r}")
+        if self.pol_filter != POL_BOTH and not space.uses_pol:
+            raise NetlistError("pol-filtered phase shifter needs a polarized space")
+        if not math.isfinite(self.phi):
+            raise NetlistError("phase shift must be finite")
+
+    def modes(self, space: ModeSpace) -> frozenset[int]:
+        modes = space.path_modes(self.path)
+        if self.pol_filter == POL_BOTH or not space.uses_pol:
+            return frozenset(modes)
+        return frozenset({modes[0] if self.pol_filter == POL_H else modes[1]})
+
+    def rows(self, w: int) -> tuple:
+        m, factor = self.path * w, cmath.exp(1j * self.phi)
+        if self.pol_filter == POL_BOTH and w == 2:
+            return ((m, m, factor, m, 0.0), (m + 1, m + 1, factor, m + 1, 0.0))
+        m += self.pol_filter == POL_V
+        return ((m, m, factor, m, 0.0),)
+
+    def to_doc(self) -> dict:
+        return {"type": self.tag, "path": self.path, "pol": self.pol_filter, "phi": self.phi}
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> PhaseShifter:
+        return cls(_doc_typed(doc["path"], int, "path"), _doc_angle(doc["phi"], "phi"),
+                   _doc_typed(doc["pol"], str, "pol"))
+
 
 @dataclass(frozen=True)
 class Rotator:
     path: int
+
+    tag = "rot"
+    glyph = "R"
+
+    def validate(self, space: ModeSpace) -> None:
+        if not space.uses_pol:
+            raise NetlistError("rotator needs a polarized space")
+        space._check_path(self.path)
+
+    def modes(self, space: ModeSpace) -> frozenset[int]:
+        return frozenset(space.path_modes(self.path))
+
+    def rows(self, w: int) -> tuple:
+        h, v = self.path * 2, self.path * 2 + 1
+        return ((h, v, 1.0, v, 0.0), (v, h, 1.0, h, 0.0))
+
+    def to_doc(self) -> dict:
+        return {"type": self.tag, "path": self.path}
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> Rotator:
+        return cls(_doc_typed(doc["path"], int, "path"))
 
 
 @dataclass(frozen=True)
@@ -139,78 +262,78 @@ class PolarizingBeamSplitter:
     path_a: int
     path_b: int
 
+    tag = "pbs"
+    glyph = "PBS"
+
+    def validate(self, space: ModeSpace) -> None:
+        if not space.uses_pol:
+            raise NetlistError("polarizing beam splitter needs a polarized space")
+        _check_pair(space, self.path_a, self.path_b, "polarizing beam splitter")
+
+    modes = BeamSplitter.modes
+
+    def rows(self, w: int) -> tuple:
+        va, vb = self.path_a * 2 + 1, self.path_b * 2 + 1
+        return ((va, vb, 1j, vb, 0.0), (vb, va, 1j, va, 0.0))
+
+    def to_doc(self) -> dict:
+        return {"type": self.tag, "paths": [self.path_a, self.path_b]}
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> PolarizingBeamSplitter:
+        return cls(*_doc_pair(doc["paths"]))
+
 
 @dataclass(frozen=True)
 class Crossing:
     path_map: tuple[int, ...]
 
+    tag = "perm"
+    glyph = "✕"
+
     def __post_init__(self):
         object.__setattr__(self, "path_map", tuple(int(p) for p in self.path_map))
 
+    def validate(self, space: ModeSpace) -> None:
+        if sorted(self.path_map) != list(range(space.n_paths)):
+            raise NetlistError("crossing map must permute all path indices")
+
+    def modes(self, space: ModeSpace) -> frozenset[int]:
+        moved = (space.path_modes(s) for s, d in enumerate(self.path_map) if s != d)
+        return frozenset(m for modes in moved for m in modes)
+
+    def rows(self, w: int) -> list:
+        moved = [(s, d) for s, d in enumerate(self.path_map) if s != d]
+        return [(d * w + k, s * w + k, 1.0, s * w + k, 0.0) for s, d in moved for k in range(w)]
+
+    def to_doc(self) -> dict:
+        return {"type": self.tag, "map": list(self.path_map)}
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> Crossing:
+        path_map = _doc_typed(doc["map"], list, "crossing map")
+        return cls(tuple(_doc_typed(p, int, "crossing map entry") for p in path_map))
+
 
 OpticalElement = Union[BeamSplitter, PhaseShifter, Rotator, PolarizingBeamSplitter, Crossing]
+ELEMENT_KINDS = (BeamSplitter, PhaseShifter, Rotator, PolarizingBeamSplitter, Crossing)
 
 
-def _validate_element(element: OpticalElement, space: ModeSpace) -> None:
-    if isinstance(element, BeamSplitter):
-        space._check_path(element.path_a)
-        space._check_path(element.path_b)
-        if element.path_a == element.path_b:
-            raise NetlistError("beam splitter needs two distinct paths")
-        if not math.isfinite(element.theta):
-            raise NetlistError("beam splitter angle must be finite")
-    elif isinstance(element, PhaseShifter):
-        space._check_path(element.path)
-        if element.pol_filter not in _POL_FILTERS:
-            raise NetlistError(f"bad pol filter {element.pol_filter!r}")
-        if element.pol_filter != POL_BOTH and not space.uses_pol:
-            raise NetlistError("pol-filtered phase shifter needs a polarized space")
-        if not math.isfinite(element.phi):
-            raise NetlistError("phase shift must be finite")
-    elif isinstance(element, Rotator):
-        if not space.uses_pol:
-            raise NetlistError("rotator needs a polarized space")
-        space._check_path(element.path)
-    elif isinstance(element, PolarizingBeamSplitter):
-        if not space.uses_pol:
-            raise NetlistError("polarizing beam splitter needs a polarized space")
-        space._check_path(element.path_a)
-        space._check_path(element.path_b)
-        if element.path_a == element.path_b:
-            raise NetlistError("polarizing beam splitter needs two distinct paths")
-    elif isinstance(element, Crossing):
-        if sorted(element.path_map) != list(range(space.n_paths)):
-            raise NetlistError("crossing map must permute all path indices")
-    else:
+def _validate(element: OpticalElement, space: ModeSpace) -> None:
+    if not isinstance(element, ELEMENT_KINDS):
         raise NetlistError(f"unknown element {element!r}")
+    element.validate(space)
 
 
 def element_modes(element: OpticalElement, space: ModeSpace) -> frozenset[int]:
     """The modes an element occupies (its full device footprint)."""
-    if isinstance(element, BeamSplitter):
-        return frozenset(space.path_modes(element.path_a) + space.path_modes(element.path_b))
-    if isinstance(element, PhaseShifter):
-        modes = space.path_modes(element.path)
-        if element.pol_filter == POL_BOTH or not space.uses_pol:
-            return frozenset(modes)
-        return frozenset({modes[0] if element.pol_filter == POL_H else modes[1]})
-    if isinstance(element, Rotator):
-        return frozenset(space.path_modes(element.path))
-    if isinstance(element, PolarizingBeamSplitter):
-        return frozenset(space.path_modes(element.path_a) + space.path_modes(element.path_b))
-    if isinstance(element, Crossing):
-        moved: set[int] = set()
-        for src, dst in enumerate(element.path_map):
-            if src != dst:
-                moved.update(space.path_modes(src))
-        return frozenset(moved)
-    raise NetlistError(f"unknown element {element!r}")
+    return element.modes(space)
 
 
 def element_unitary(element: OpticalElement, space: ModeSpace) -> np.ndarray:
     """Dense unitary of one element on the full mode space: its layer
     kernel applied to the identity."""
-    _validate_element(element, space)
+    _validate(element, space)
     u = np.eye(space.dim, dtype=complex)
     _apply_layer(u, (element,), space)
     return u
@@ -273,8 +396,8 @@ class OpticalNetlist:
         for layer in self.layers:
             seen: set[int] = set()
             for element in layer:
-                _validate_element(element, self.space)
-                modes = element_modes(element, self.space)
+                _validate(element, self.space)
+                modes = element.modes(self.space)
                 if seen & modes:
                     raise NetlistError("elements within a layer must act on disjoint modes")
                 seen |= modes
@@ -293,53 +416,13 @@ class OpticalNetlist:
             yield from layer
 
 
-# Layer kernel: each entry turns one element into gather rows (target,
-# source0, coef0, source1, coef1) over modes path*w + pol, w = 2 on a
-# polarized space, else 1. Elements of a layer are disjoint, so all rows of
-# a layer update at once without reading a target another row writes.
-
-
-def _splitter_rows(e: BeamSplitter, w: int) -> tuple:
-    ct, ist = math.cos(e.theta), 1j * math.sin(e.theta)
-    a, b = e.path_a * w, e.path_b * w
-    rows = ((a, a, ct, b, ist), (b, b, ct, a, ist))
-    if w == 2:
-        rows += ((a + 1, a + 1, ct, b + 1, ist), (b + 1, b + 1, ct, a + 1, ist))
-    return rows
-
-
-def _shifter_rows(e: PhaseShifter, w: int) -> tuple:
-    m, factor = e.path * w, cmath.exp(1j * e.phi)
-    if e.pol_filter == POL_BOTH and w == 2:
-        return ((m, m, factor, m, 0.0), (m + 1, m + 1, factor, m + 1, 0.0))
-    m += e.pol_filter == POL_V
-    return ((m, m, factor, m, 0.0),)
-
-
-def _rotator_rows(e: Rotator, w: int) -> tuple:
-    h, v = e.path * 2, e.path * 2 + 1
-    return ((h, v, 1.0, v, 0.0), (v, h, 1.0, h, 0.0))
-
-
-def _pbs_rows(e: PolarizingBeamSplitter, w: int) -> tuple:
-    va, vb = e.path_a * 2 + 1, e.path_b * 2 + 1
-    return ((va, vb, 1j, vb, 0.0), (vb, va, 1j, va, 0.0))
-
-
-def _crossing_rows(e: Crossing, w: int) -> list:
-    moves = [(d * w + k, s * w + k) for s, d in enumerate(e.path_map) if s != d for k in range(w)]
-    return [(t, s, 1.0, s, 0.0) for t, s in moves]
-
-
-_KERNEL_ROWS = {BeamSplitter: _splitter_rows, PhaseShifter: _shifter_rows, Rotator: _rotator_rows,
-                PolarizingBeamSplitter: _pbs_rows, Crossing: _crossing_rows}
 _ROW_DTYPES = (np.intp, np.intp, complex, np.intp, complex)
 
 
 def _apply_layer(x: np.ndarray, layer: Iterable[OpticalElement], space: ModeSpace) -> None:
     """Apply one layer in place to a mode vector or the rows of a (dim, k) block."""
     w = 2 if space.uses_pol else 1
-    rows = [row for e in layer for row in _KERNEL_ROWS[type(e)](e, w)]
+    rows = [row for e in layer for row in e.rows(w)]
     if not rows:
         return
     t, s0, c0, s1, c1 = (np.array(col, dtype) for col, dtype in zip(zip(*rows), _ROW_DTYPES))

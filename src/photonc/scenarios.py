@@ -21,6 +21,7 @@ from .compiler import (
     prepare_location_state,
     prune_dead_paths,
 )
+from .equivalence import state_fidelity
 from .optics import ModeAmplitudes, OpticalNetlist, propagate
 
 _PROB_SUM_TOL = 1e-9
@@ -133,6 +134,25 @@ def _readings(final: ModeAmplitudes) -> tuple[DetectorReading, ...]:
     )
 
 
+def _heralded(final: ModeAmplitudes, kept_bit: int) -> list[tuple[int, float, np.ndarray]]:
+    """Split the final state on one bit of the mode index (path bits, most
+    significant first, then the polarization bit).
+
+    Each value of the other bits, in mode order, is one herald: its row holds
+    the kept bit's two amplitudes. Rows with probability below 1e-12 are
+    dropped; the rest come back as (herald, probability, normalized state).
+    """
+    n_bits = final.space.dim.bit_length() - 1
+    by_bit = final.amplitudes.reshape((2,) * n_bits)
+    rows = np.moveaxis(by_bit, kept_bit, -1).reshape(-1, 2)
+    branches = []
+    for herald, row in enumerate(rows):
+        prob = float(np.sum(np.abs(row) ** 2))
+        if prob >= 1e-12:
+            branches.append((herald, prob, row / np.sqrt(prob)))
+    return branches
+
+
 def demo_mz(rotator: bool = False) -> ScenarioReport:
     """Balanced interferometer; with rotator=True one arm tags the photon's
     polarization, trading the interference fringe for which-path marking."""
@@ -145,21 +165,11 @@ def demo_mz(rotator: bool = False) -> ScenarioReport:
     branches: tuple[BranchOutcome, ...] = ()
     notes: tuple[str, ...]
     if rotator:
-        by_path = final.amplitudes.reshape(space.n_paths, 2)
-        outcomes = []
-        for path in range(space.n_paths):
-            prob = float(np.sum(np.abs(by_path[path]) ** 2))
-            if prob < 1e-12:
-                continue
-            conditional = by_path[path] / np.sqrt(prob)
-            outcomes.append(
-                BranchOutcome(
-                    herald=f"output path {path}",
-                    probability=prob,
-                    conditional=tuple(complex(c) for c in conditional),
-                )
-            )
-        branches = tuple(outcomes)
+        branches = tuple(
+            BranchOutcome(herald=f"output path {path}", probability=prob,
+                          conditional=tuple(complex(c) for c in state))
+            for path, prob, state in _heralded(final, kept_bit=space.n_loc)
+        )
         overlap = abs(np.vdot(branches[0].conditional, branches[1].conditional)) ** 2
         notes = (
             "the rotated arm leaves orthogonal polarization records "
@@ -202,28 +212,15 @@ def demo_teleport(alpha: complex, beta: complex, prune: bool = True) -> Scenario
     final = propagate(combined, ModeAmplitudes.basis(space, 0))
     # Heralds are the high path bit (input carrier) plus the polarization;
     # the low path bit carries the teleported state.
-    amps = final.amplitudes
-    outcomes = []
-    for herald_bit in (0, 1):
-        for pol_bit in (0, 1):
-            c0 = amps[(herald_bit * 2 + 0) * 2 + pol_bit]
-            c1 = amps[(herald_bit * 2 + 1) * 2 + pol_bit]
-            prob = float(abs(c0) ** 2 + abs(c1) ** 2)
-            if prob < 1e-12:
-                continue
-            conditional = (complex(c0) / np.sqrt(prob), complex(c1) / np.sqrt(prob))
-            fidelity = float(
-                abs(alpha.conjugate() * conditional[0] + beta.conjugate() * conditional[1]) ** 2
-            )
-            pol_name = "V" if pol_bit else "H"
-            outcomes.append(
-                BranchOutcome(
-                    herald=f"carrier bit {herald_bit}, pol {pol_name}",
-                    probability=prob,
-                    conditional=conditional,
-                    fidelity=fidelity,
-                )
-            )
+    branches = tuple(
+        BranchOutcome(
+            herald=f"carrier bit {herald >> 1}, pol {'HV'[herald & 1]}",
+            probability=prob,
+            conditional=tuple(complex(c) for c in state),
+            fidelity=state_fidelity((alpha, beta), state),
+        )
+        for herald, prob, state in _heralded(final, kept_bit=1)
+    )
     return ScenarioReport(
         name="teleport",
         circuit=circuit,
@@ -232,6 +229,6 @@ def demo_teleport(alpha: complex, beta: complex, prune: bool = True) -> Scenario
         final=final,
         readings=_readings(final),
         reduced_paths=reduced_path_matrix(final),
-        branches=tuple(outcomes),
+        branches=branches,
         notes=("all four heralds deliver the input state without correction",),
     )

@@ -141,6 +141,16 @@ class TestVerify:
         assert main(["verify", teleport_qc, str(bad)]) == 2
         assert key in capsys.readouterr().err
 
+    def test_fractional_element_path_is_input_error(self, teleport_qc, teleport_netlist, tmp_path,
+                                                   capsys):
+        doc = json.loads(open(teleport_netlist).read())
+        shifter = next(e for layer in doc["layers"] for e in layer if e["type"] == "ps")
+        shifter["path"] += 0.9
+        bad = tmp_path / "fractional_path.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", teleport_qc, str(bad)]) == 2
+        assert "path must be a JSON int" in capsys.readouterr().err
+
     def test_out_of_memory_is_exit_3(self, teleport_qc, teleport_netlist, monkeypatch, capsys):
         def too_big(netlist):
             raise MemoryError

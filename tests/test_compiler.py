@@ -578,6 +578,9 @@ class TestPreparePathState:
             prepare_path_state([1.0, 1.0], ModeSpace(1))
 
 
+HEAD = '{"version": 1, "n_loc": 1, "uses_pol": true, "layers": '
+
+
 class TestNetlistJson:
     def make(self):
         circ = parse_circuit(TELEPORT)
@@ -624,6 +627,30 @@ class TestNetlistJson:
             '{"version": 1, "n_loc": 1, "uses_pol": false}',
             '{"version": 1, "n_loc": 1, "uses_pol": false, "layers": [[{"type": "??"}]]}',
             '{"version": 1, "n_loc": 1, "uses_pol": false, "layers": [[{"type": "bs"}]]}',
+            '{"version": 1, "n_loc": 1, "uses_pol": false, "layers": [[1]]}',
+            # element fields are typed, never coerced
+            f'{HEAD}[[{{"type": "ps", "path": 1.0, "pol": "both", "phi": 0.5}}]]}}',
+            f'{HEAD}[[{{"type": "ps", "path": true, "pol": "both", "phi": 0.5}}]]}}',
+            f'{HEAD}[[{{"type": "ps", "path": 0, "pol": 1, "phi": 0.5}}]]}}',
+            f'{HEAD}[[{{"type": "ps", "path": 0, "pol": "both", "phi": true}}]]}}',
+            f'{HEAD}[[{{"type": "ps", "path": 0, "pol": "both", "phi": NaN}}]]}}',
+            f'{HEAD}[[{{"type": "ps", "path": 0, "pol": "both", "phi": "0.5"}}]]}}',
+            f'{HEAD}[[{{"type": "ps", "path": 0, "pol": "both", "phi": 1{"0" * 400}}}]]}}',
+            f'{HEAD}[[{{"type": "bs", "paths": [0, 1.0], "theta": 0.5}}]]}}',
+            f'{HEAD}[[{{"type": "bs", "paths": [0, 1], "theta": Infinity}}]]}}',
+            f'{HEAD}[[{{"type": "bs", "paths": [0, 1], "theta": false}}]]}}',
+            f'{HEAD}[[{{"type": "bs", "paths": [0, 1, 1], "theta": 0.5}}]]}}',
+            f'{HEAD}[[{{"type": "pbs", "paths": [0]}}]]}}',
+            f'{HEAD}[[{{"type": "pbs", "paths": [false, 1]}}]]}}',
+            f'{HEAD}[[{{"type": "rot", "path": 0.5}}]]}}',
+            f'{HEAD}[[{{"type": "perm", "map": [1, 0.0]}}]]}}',
+            f'{HEAD}[[{{"type": "perm", "map": [true, 0]}}]]}}',
+            f'{HEAD}[[{{"type": "perm", "map": "10"}}]]}}',
+            # so are the meta annotations
+            f'{HEAD}[], "meta": {{"output_relabel": [1.0, 0]}}}}',
+            f'{HEAD}[], "meta": {{"output_relabel": [1, false]}}}}',
+            f'{HEAD}[[{{"type": "rot", "path": 0}}]], "meta": {{"source_gates": [3]}}}}',
+            f'{HEAD}[], "meta": []}}',
         ],
     )
     def test_bad_documents_rejected(self, text):

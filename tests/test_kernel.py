@@ -1,5 +1,6 @@
 """Properties of the layer kernel behind propagate, netlist_unitary and
-element_unitary, on random layered netlists."""
+element_unitary, and of the per-kind element classes, on random layered
+netlists."""
 
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from photonc.compiler import device_stats, netlist_from_json, netlist_to_json
 from photonc.optics import (
     POL_BOTH,
     POL_H,
@@ -94,6 +96,33 @@ def test_propagate_matches_unitary(net, seed):
 def test_unitary_is_unitary(net):
     u = netlist_unitary(net)
     assert np.max(np.abs(u @ u.conj().T - np.eye(net.space.dim))) < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(netlists())
+def test_json_round_trip_is_equal(net):
+    assert netlist_from_json(netlist_to_json(net)) == net
+
+
+@settings(max_examples=100, deadline=None)
+@given(netlists())
+def test_kernel_rows_stay_in_footprint(net):
+    # What makes the in-place layer update safe: an element reads and
+    # writes only its own modes, and the modes of a layer are disjoint.
+    w = 2 if net.space.uses_pol else 1
+    for element in net.elements():
+        footprint = element.modes(net.space)
+        for target, source0, _, source1, _ in element.rows(w):
+            assert {target, source0, source1} <= footprint
+
+
+@settings(max_examples=100, deadline=None)
+@given(netlists())
+def test_stats_count_every_element(net):
+    stats = device_stats(net)
+    counted = (stats.beam_splitters + stats.polarizing_beam_splitters + stats.phase_shifters
+               + stats.rotators + stats.crossings)
+    assert counted == net.n_elements
 
 
 def test_mixed_polarized_layer_against_hand_matrix():

@@ -199,6 +199,12 @@ class TestNetlist:
         with pytest.raises(NetlistError, match="disjoint"):
             OpticalNetlist(space, ((BeamSplitter(0, 1), BeamSplitter(1, 2)),))
 
+    def test_non_element_in_layer(self):
+        with pytest.raises(NetlistError, match="unknown element"):
+            OpticalNetlist(ModeSpace(1), ((BeamSplitter(0, 1),), ("bs",)))
+        with pytest.raises(NetlistError, match="unknown element"):
+            element_unitary(object(), ModeSpace(1))
+
     def test_source_gate_length_mismatch(self):
         space = ModeSpace(1)
         with pytest.raises(NetlistError):
