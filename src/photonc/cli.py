@@ -8,6 +8,7 @@ errors and running out of memory. Output is deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -25,7 +26,15 @@ from .compiler import (
 )
 from .diagram import render_diagram
 from .equivalence import basis_bridge, bridge_conjugate, global_phase_distance
-from .optics import ModeAmplitudes, ModeSpace, NetlistError, OpticalNetlist, netlist_unitary, propagate
+from .optics import (
+    ModeAmplitudes,
+    ModeSpace,
+    NetlistError,
+    OpticalNetlist,
+    SpaceTooLargeError,
+    netlist_unitary,
+    propagate,
+)
 from .scenarios import demo_mz, demo_teleport
 from .statevec import circuit_unitary
 
@@ -103,6 +112,16 @@ def _parse_amplitude(text: str) -> complex:
         return complex(text.strip().replace("i", "j"))
     except ValueError:
         raise _UsageError(f"bad amplitude literal {text!r} (examples: 0.6, 0.8i, 0.5+0.5i)") from None
+
+
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan  # refused below with the same message
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite, non-negative number, got {text!r}")
+    return tol
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
@@ -211,7 +230,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a netlist against its circuit")
     p.add_argument("circuit")
     p.add_argument("netlist")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tolerance, default=1e-10,
+                   help="largest entry deviation that passes (default 1e-10)")
     p.add_argument("--assignment", help="qubit assignment used at compile time")
     p.set_defaults(func=_cmd_verify)
 
@@ -247,7 +267,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (_UsageError, CircuitParseError, NetlistFormatError) as exc:
+    except (_UsageError, CircuitParseError, NetlistFormatError, SpaceTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CompileError, NetlistError, ValueError) as exc:

@@ -35,6 +35,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -54,6 +55,7 @@ from .optics import (
     PhaseShifter,
     PolarizingBeamSplitter,
     Rotator,
+    SpaceTooLargeError,
     _doc_typed,
 )
 
@@ -226,25 +228,27 @@ def _u2_assembly(
     return [layer for layer in (pre, mid, post) if layer]
 
 
-def _controls_satisfied(assignment: QubitAssignment, path: int, controls: Sequence[int]) -> bool:
-    return all(assignment.path_bit_value(path, c) == 1 for c in controls)
+def _control_mask(assignment: QubitAssignment, controls: Sequence[int]) -> int:
+    """Path bits that must all be 1 for the controls to be satisfied."""
+    mask = 0
+    for control in controls:
+        mask |= assignment.path_delta(control)
+    return mask
 
 
 def _control_paths(assignment: QubitAssignment, controls: Sequence[int]) -> list[int]:
-    n_paths = 1 << assignment.n_loc
-    return [p for p in range(n_paths) if _controls_satisfied(assignment, p, controls)]
+    mask = _control_mask(assignment, controls)
+    return [p for p in range(1 << assignment.n_loc) if p & mask == mask]
 
 
 def _bit_pairs(
     assignment: QubitAssignment, target: int, controls: Sequence[int]
 ) -> list[tuple[int, int]]:
+    # Target bit 0 and every control bit 1, in one test.
     delta = assignment.path_delta(target)
-    n_paths = 1 << assignment.n_loc
-    return [
-        (p, p | delta)
-        for p in range(n_paths)
-        if not p & delta and _controls_satisfied(assignment, p, controls)
-    ]
+    mask = _control_mask(assignment, controls)
+    need = mask | delta
+    return [(p, p | delta) for p in range(1 << assignment.n_loc) if p & need == mask]
 
 
 def _rotator_stage(
@@ -287,24 +291,19 @@ def _crossing_stage(assignment: QubitAssignment, path_map: Sequence[int]) -> lis
 
 def _flip_map(assignment: QubitAssignment, target: int, controls: Sequence[int]) -> tuple[int, ...]:
     delta = assignment.path_delta(target)
-    n_paths = 1 << assignment.n_loc
-    return tuple(
-        p ^ delta if _controls_satisfied(assignment, p, controls) else p for p in range(n_paths)
-    )
+    mask = _control_mask(assignment, controls)
+    return tuple(p ^ delta if p & mask == mask else p for p in range(1 << assignment.n_loc))
 
 
 def _exchange_map(
     assignment: QubitAssignment, a: int, b: int, controls: Sequence[int]
 ) -> tuple[int, ...]:
     da, db = assignment.path_delta(a), assignment.path_delta(b)
-    n_paths = 1 << assignment.n_loc
-    out = []
-    for p in range(n_paths):
-        if _controls_satisfied(assignment, p, controls) and bool(p & da) != bool(p & db):
-            out.append(p ^ da ^ db)
-        else:
-            out.append(p)
-    return tuple(out)
+    mask = _control_mask(assignment, controls)
+    return tuple(
+        p ^ da ^ db if p & mask == mask and bool(p & da) != bool(p & db) else p
+        for p in range(1 << assignment.n_loc)
+    )
 
 
 def _swap_loc_pol_stage(
@@ -580,19 +579,81 @@ def _kind_of(doc: dict) -> type:
     return kind
 
 
+_NEWLINE_INDENT = tuple("\n" + "  " * depth for depth in range(6))
+
+
+def _json_scalar(value) -> str:
+    """One scalar as json.dumps writes it: the checks of json.encoder in its
+    order (bool before int; a NumPy float is a float). Floats are finite
+    here, because every element validates its angles."""
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_list(items: Iterable[str], depth: int) -> str:
+    """Encoded items as the list json.dumps(indent=2) writes at this depth."""
+    inner = _NEWLINE_INDENT[depth + 1]
+    body = ("," + inner).join(items)
+    return f"[{inner}{body}{_NEWLINE_INDENT[depth]}]" if body else "[]"
+
+
+def _json_element_field(value) -> str:
+    """A scalar or a flat list of scalars as a field of an element doc."""
+    if isinstance(value, (list, tuple)):
+        return _json_list(map(_json_scalar, value), 4)
+    return _json_scalar(value)
+
+
+# Element fields of exactly these types skip the isinstance chain; every
+# other value (a list, a bool, a subclass such as a NumPy float) takes it.
+_ELEMENT_FIELD_BY_TYPE = {
+    str: _json_string,
+    int: int.__repr__,
+    float: float.__repr__,
+}
+
+
+def _json_element(doc: dict) -> str:
+    """A flat element doc as json.dumps(indent=2) writes it inside a layer."""
+    fields = [
+        f"{_json_string(key)}: {_ELEMENT_FIELD_BY_TYPE.get(type(value), _json_element_field)(value)}"
+        for key, value in doc.items()
+    ]
+    return "{\n        " + ",\n        ".join(fields) + "\n      }" if fields else "{}"
+
+
 def netlist_to_json(netlist: OpticalNetlist) -> str:
-    """Serialize a netlist; floats keep full precision (exact round-trip)."""
-    meta: dict = {"source_gates": list(netlist.source_gates)}
+    """Serialize a netlist; floats keep full precision (exact round-trip).
+
+    The text is byte for byte json.dumps(doc, indent=2) + "\n" of the
+    document {version, n_loc, uses_pol, layers: [[element.to_doc()]], meta:
+    {source_gates, output_relabel?}}; the tests keep json.dumps as the
+    reference. It is written here for that fixed shape because, given an
+    indent, json.dumps runs its pure-Python encoder, which took two thirds
+    of compile time on a 12-qubit netlist.
+    """
+    layers = _json_list(
+        (_json_list([_json_element(e.to_doc()) for e in layer], 2) for layer in netlist.layers), 1
+    )
+    meta = '"source_gates": ' + _json_list(map(_json_scalar, netlist.source_gates), 2)
     if netlist.output_relabel is not None:
-        meta["output_relabel"] = list(netlist.output_relabel)
-    doc = {
-        "version": 1,
-        "n_loc": netlist.space.n_loc,
-        "uses_pol": netlist.space.uses_pol,
-        "layers": [[e.to_doc() for e in layer] for layer in netlist.layers],
-        "meta": meta,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+        meta += ',\n    "output_relabel": ' + _json_list(map(_json_scalar, netlist.output_relabel), 2)
+    return (
+        f'{{\n  "version": 1,\n  "n_loc": {_json_scalar(netlist.space.n_loc)},\n'
+        f'  "uses_pol": {_json_scalar(netlist.space.uses_pol)},\n  "layers": {layers},\n'
+        f'  "meta": {{\n    {meta}\n  }}\n}}\n'
+    )
 
 
 def netlist_from_json(text: str) -> OpticalNetlist:
@@ -619,7 +680,7 @@ def netlist_from_json(text: str) -> OpticalNetlist:
         if relabel_doc is not None:
             relabel = tuple(_doc_typed(p, int, "output relabel entry") for p in relabel_doc)
         return OpticalNetlist(space, layers, notes, relabel)
-    except NetlistFormatError:
+    except (NetlistFormatError, SpaceTooLargeError):
         raise
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise NetlistFormatError(f"invalid netlist document: {exc}") from None

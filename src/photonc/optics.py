@@ -4,7 +4,8 @@ A mode is one place a single photon can be: a path index, optionally paired
 with a polarization (H or V). With polarization in use, mode index
 m = path*2 + pol where pol is 0 for H and 1 for V; without it, m = path.
 Path bits are ordered most significant first, so path 2 of a 2-bit space is
-the path labeled "10".
+the path labeled "10". A space has at most MAX_PATH_BITS path bits, and a
+path is a Python int: a float or a bool is refused, never truncated.
 
 Element conventions (pinned, every consumer relies on them):
 
@@ -58,6 +59,20 @@ class NetlistFormatError(ValueError):
     """Malformed netlist file."""
 
 
+class SpaceTooLargeError(NetlistError):
+    """Mode space with more path bits than MAX_PATH_BITS."""
+
+
+# Lowering loops over every path and `h` on a location qubit puts 1.5
+# elements on each, so compiling one gate costs time and memory in
+# proportion to 2^n_loc. `compile` of a lone `h 0` (2-vCPU host) took
+# 0.37 s / 46 MB peak at 14 path bits, 1.2 s / 94 MB at 16 and 5.1 s /
+# 266 MB at 18: x4 per two bits, so about 20 s / 1 GB at 20 and 80 s / 4 GB
+# at 22. 20 bits is the widest space whose single gate still fits in a
+# minute and a gigabyte; past it, ModeSpace refuses before any loop starts.
+MAX_PATH_BITS = 20
+
+
 POL_H = "H"
 POL_V = "V"
 POL_BOTH = "both"
@@ -74,6 +89,11 @@ class ModeSpace:
     def __post_init__(self):
         if self.n_loc < 0:
             raise NetlistError("negative location qubit count")
+        if self.n_loc > MAX_PATH_BITS:
+            raise SpaceTooLargeError(
+                f"{self.n_loc} path bits give 2^{self.n_loc} = {1 << self.n_loc} paths; "
+                f"at most {MAX_PATH_BITS} path bits ({1 << MAX_PATH_BITS} paths) are supported"
+            )
 
     @property
     def n_paths(self) -> int:
@@ -123,6 +143,8 @@ class ModeSpace:
             raise NetlistError(f"mode {mode} out of range for dim {self.dim}")
 
     def _check_path(self, path: int) -> None:
+        if type(path) is not int:  # a bool or float is refused, never truncated
+            raise NetlistError(f"path {path!r} is not an int")
         if not 0 <= path < 1 << self.n_loc:  # not self.n_paths: one call less on a hot path
             raise NetlistError(f"path {path} out of range for {self.n_paths} path(s)")
 
@@ -145,6 +167,14 @@ def _doc_pair(value) -> tuple[int, int]:
     if len(_doc_typed(value, list, "paths")) != 2:
         raise NetlistFormatError(f"paths must list exactly two paths, got {value!r}")
     return _doc_typed(value[0], int, "path"), _doc_typed(value[1], int, "path")
+
+
+def _check_permutation(path_map: tuple, space: ModeSpace, name: str) -> None:
+    for path in path_map:
+        if type(path) is not int:
+            raise NetlistError(f"{name} entry {path!r} is not an int")
+    if sorted(path_map) != list(range(space.n_paths)):
+        raise NetlistError(f"{name} must permute all path indices")
 
 
 def _check_pair(space: ModeSpace, a: int, b: int, name: str) -> None:
@@ -292,11 +322,10 @@ class Crossing:
     glyph = "✕"
 
     def __post_init__(self):
-        object.__setattr__(self, "path_map", tuple(int(p) for p in self.path_map))
+        object.__setattr__(self, "path_map", tuple(self.path_map))
 
     def validate(self, space: ModeSpace) -> None:
-        if sorted(self.path_map) != list(range(space.n_paths)):
-            raise NetlistError("crossing map must permute all path indices")
+        _check_permutation(self.path_map, space, "crossing map")
 
     def modes(self, space: ModeSpace) -> frozenset[int]:
         moved = (space.path_modes(s) for s, d in enumerate(self.path_map) if s != d)
@@ -402,10 +431,8 @@ class OpticalNetlist:
                     raise NetlistError("elements within a layer must act on disjoint modes")
                 seen |= modes
         if self.output_relabel is not None:
-            relabel = tuple(int(p) for p in self.output_relabel)
-            if sorted(relabel) != list(range(self.space.n_paths)):
-                raise NetlistError("output relabeling must permute all path indices")
-            object.__setattr__(self, "output_relabel", relabel)
+            object.__setattr__(self, "output_relabel", tuple(self.output_relabel))
+            _check_permutation(self.output_relabel, self.space, "output relabeling")
 
     @property
     def n_elements(self) -> int:

@@ -73,6 +73,15 @@ class TestCompile:
         bad.write_text("qubits 1\npol 0\nh 0\n", encoding="utf-8")
         assert main(["compile", str(bad)]) == 3
 
+    def test_oversized_circuit_fails_fast(self, tmp_path, capsys):
+        # Refused before lowering loops over any of the 2^39 paths.
+        big = tmp_path / "big.qc"
+        big.write_text("qubits 40\npol 39\nh 0\n", encoding="utf-8")
+        assert main(["compile", str(big)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "2^39 = 549755813888 paths" in captured.err
+
     def test_custom_assignment(self, teleport_qc, capsys):
         assert main(["compile", teleport_qc, "--assignment", "loc=2,0;pol=1"]) == 0
         json.loads(capsys.readouterr().out)
@@ -110,6 +119,13 @@ class TestVerify:
         nudged.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["verify", teleport_qc, str(nudged)]) == 1
         assert main(["verify", teleport_qc, str(nudged), "--tol", "1e-3"]) == 0
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_tolerance_must_be_finite_and_non_negative(self, teleport_qc, teleport_netlist,
+                                                       capsys, tol):
+        assert main(["verify", teleport_qc, teleport_netlist, "--tol", tol]) == 2
+        err = capsys.readouterr().err
+        assert "--tol" in err and "finite, non-negative" in err
 
     def test_assignment_round_trip(self, teleport_qc, tmp_path, capsys):
         out = tmp_path / "alt.json"
@@ -150,6 +166,22 @@ class TestVerify:
         bad.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["verify", teleport_qc, str(bad)]) == 2
         assert "path must be a JSON int" in capsys.readouterr().err
+
+    def test_oversized_circuit_is_input_error(self, teleport_netlist, tmp_path, capsys):
+        big = tmp_path / "big.qc"
+        big.write_text("qubits 40\nh 0\n", encoding="utf-8")
+        assert main(["verify", str(big), teleport_netlist]) == 2
+        assert "2^40 = 1099511627776 paths" in capsys.readouterr().err
+
+    def test_oversized_netlist_is_input_error(self, teleport_qc, teleport_netlist, tmp_path,
+                                              capsys):
+        doc = json.loads(open(teleport_netlist).read())
+        doc["n_loc"], doc["layers"], doc["meta"] = 40, [], {}
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(doc), encoding="utf-8")
+        for argv in (["verify", teleport_qc, str(big)], ["stats", str(big)]):
+            assert main(argv) == 2
+            assert "2^40 = 1099511627776 paths" in capsys.readouterr().err
 
     def test_out_of_memory_is_exit_3(self, teleport_qc, teleport_netlist, monkeypatch, capsys):
         def too_big(netlist):

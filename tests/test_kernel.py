@@ -1,10 +1,12 @@
 """Properties of the layer kernel behind propagate, netlist_unitary and
-element_unitary, and of the per-kind element classes, on random layered
-netlists."""
+element_unitary, of the per-kind element classes, and of the netlist JSON
+writer against json.dumps, on random layered netlists."""
 
+import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -102,6 +104,43 @@ def test_unitary_is_unitary(net):
 @given(netlists())
 def test_json_round_trip_is_equal(net):
     assert netlist_from_json(netlist_to_json(net)) == net
+
+
+def stdlib_json(net):
+    """The netlist document through json.dumps, as netlist_to_json once wrote
+    it: the reference its own writer must match byte for byte."""
+    meta = {"source_gates": list(net.source_gates)}
+    if net.output_relabel is not None:
+        meta["output_relabel"] = list(net.output_relabel)
+    doc = {
+        "version": 1,
+        "n_loc": net.space.n_loc,
+        "uses_pol": net.space.uses_pol,
+        "layers": [[e.to_doc() for e in layer] for layer in net.layers],
+        "meta": meta,
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(netlists(), st.lists(st.text(), min_size=5, max_size=5))
+def test_json_matches_stdlib_encoder(net, notes):
+    notes = tuple(notes[: len(net.layers)])
+    net = OpticalNetlist(net.space, net.layers, notes, net.output_relabel)
+    assert netlist_to_json(net) == stdlib_json(net)
+
+
+@pytest.mark.parametrize("net", [
+    OpticalNetlist(ModeSpace(0), ()),
+    OpticalNetlist(ModeSpace(2, True), ((), (Rotator(1),), ()), ("", "g1: x 1", "")),
+    OpticalNetlist(ModeSpace(2), ((BeamSplitter(0, 3, 0.5),),), output_relabel=(2, 0, 3, 1)),
+    OpticalNetlist(ModeSpace(1), ((PhaseShifter(0, 0.5),),), ("g0: φ ✕ \"é\"\t\U0001f600",)),
+    OpticalNetlist(ModeSpace(1), ((PhaseShifter(0, 2),), (BeamSplitter(0, 1, 0),))),
+    OpticalNetlist(ModeSpace(1, True), ((PhaseShifter(1, np.float64(-0.25), POL_V),),
+                                        (BeamSplitter(0, 1, np.float64(1e-300)),))),
+], ids=["no-layers", "empty-layers", "relabel", "non-ascii-note", "int-angle", "numpy-angle"])
+def test_json_matches_stdlib_encoder_on_edge_cases(net):
+    assert netlist_to_json(net) == stdlib_json(net)
 
 
 @settings(max_examples=100, deadline=None)

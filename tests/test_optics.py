@@ -5,6 +5,7 @@ import pytest
 
 from photonc.circuit import HADAMARD, PAULI_X
 from photonc.optics import (
+    MAX_PATH_BITS,
     POL_BOTH,
     POL_H,
     POL_V,
@@ -17,6 +18,7 @@ from photonc.optics import (
     PhaseShifter,
     PolarizingBeamSplitter,
     Rotator,
+    SpaceTooLargeError,
     element_modes,
     element_unitary,
     netlist_unitary,
@@ -81,6 +83,15 @@ class TestModeSpace:
             ModeSpace(2).mode_of("1")
         with pytest.raises(NetlistError):
             ModeSpace(2).mode_of("102")
+
+
+    def test_size_cap(self):
+        # Builds no array: a ModeSpace holds only its two header fields.
+        assert MAX_PATH_BITS >= 14
+        assert ModeSpace(MAX_PATH_BITS, uses_pol=True).n_paths == 1 << MAX_PATH_BITS
+        with pytest.raises(SpaceTooLargeError, match=f"2\\^{MAX_PATH_BITS + 1} = "):
+            ModeSpace(MAX_PATH_BITS + 1)
+        assert issubclass(SpaceTooLargeError, NetlistError)
 
 
 class TestElementUnitaries:
@@ -168,6 +179,17 @@ class TestElementValidation:
         with pytest.raises(NetlistError):
             element_unitary(PhaseShifter(0, 0.1, "X"), ModeSpace(1, True))
 
+    @pytest.mark.parametrize("element", [
+        BeamSplitter(0, 1.0), BeamSplitter(True, 0), PolarizingBeamSplitter(0.0, 1),
+        PhaseShifter(1.0, 0.1), Rotator(False), Crossing((1.9, 0)), Crossing((True, False)),
+    ])
+    def test_paths_are_ints_never_truncated(self, element):
+        with pytest.raises(NetlistError, match="not an int"):
+            element_unitary(element, ModeSpace(1, uses_pol=True))
+
+    def test_crossing_keeps_its_map(self):
+        assert Crossing([1.9, 0]).path_map == (1.9, 0)
+
     def test_path_out_of_range(self):
         with pytest.raises(NetlistError):
             element_unitary(BeamSplitter(0, 5), ModeSpace(1))
@@ -214,6 +236,11 @@ class TestNetlist:
         space = ModeSpace(1)
         with pytest.raises(NetlistError):
             OpticalNetlist(space, (), output_relabel=(0, 0))
+
+    @pytest.mark.parametrize("relabel", [(1.7, 0), (1.0, 0.0), (True, False)])
+    def test_relabel_entries_are_ints(self, relabel):
+        with pytest.raises(NetlistError, match="not an int"):
+            OpticalNetlist(ModeSpace(1), (), output_relabel=relabel)
 
     def test_counts(self):
         space = ModeSpace(1)
