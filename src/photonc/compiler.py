@@ -77,10 +77,15 @@ class QubitAssignment:
     pol_qubit: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "location_order", tuple(int(q) for q in self.location_order))
+        object.__setattr__(self, "location_order", tuple(self.location_order))
         claimed = list(self.location_order)
         if self.pol_qubit is not None:
             claimed.append(self.pol_qubit)
+        if type(self.n_qubits) is not int:  # a bool or float is refused, never truncated
+            raise CompileError(f"qubit count {self.n_qubits!r} is not an int")
+        for qubit in claimed:
+            if type(qubit) is not int:
+                raise CompileError(f"qubit {qubit!r} is not an int")
         if sorted(claimed) != list(range(self.n_qubits)):
             raise CompileError(
                 "assignment must map every qubit exactly once "
@@ -131,7 +136,10 @@ class CompileOptions:
 
     def __post_init__(self):
         if self.input_support is not None:
-            object.__setattr__(self, "input_support", frozenset(int(m) for m in self.input_support))
+            object.__setattr__(self, "input_support", frozenset(self.input_support))
+            for mode in self.input_support:
+                if type(mode) is not int:
+                    raise CompileError(f"input mode {mode!r} is not an int")
         if self.prune and not self.input_support:
             raise CompileError("pruning needs a nonempty input support")
 
@@ -486,24 +494,27 @@ def prune_dead_paths(netlist: OpticalNetlist, input_support: Iterable[int]) -> O
     pruned netlist matches the original for any input supported on
     input_support.
     """
-    support = frozenset(int(m) for m in input_support)
-    if not support:
+    space = netlist.space
+    live = set(input_support)
+    if not live:
         raise CompileError("pruning needs a nonempty input support")
-    for mode in support:
-        netlist.space._check_mode(mode)
-    live = set(support)
+    for mode in live:
+        space._check_mode(mode)
     kept_layers: list[Layer] = []
     kept_notes: list[str] = []
     for layer, note in zip(netlist.layers, netlist.source_gates):
-        kept = tuple(e for e in layer if e.modes(netlist.space) & live)
-        for element in kept:
-            live |= element.modes(netlist.space)
+        # Footprints within a layer are disjoint, so marking a kept element
+        # live cannot make another element of its layer look live.
+        kept = []
+        for element in layer:
+            modes = element.footprint(space)
+            if not live.isdisjoint(modes):
+                kept.append(element)
+                live.update(modes)
         if kept:
-            kept_layers.append(kept)
+            kept_layers.append(tuple(kept))
             kept_notes.append(note)
-    return OpticalNetlist(
-        netlist.space, tuple(kept_layers), tuple(kept_notes), netlist.output_relabel
-    )
+    return OpticalNetlist(space, tuple(kept_layers), tuple(kept_notes), netlist.output_relabel)
 
 
 def device_stats(netlist: OpticalNetlist) -> DeviceStats:
@@ -608,29 +619,32 @@ def _json_list(items: Iterable[str], depth: int) -> str:
     return f"[{inner}{body}{_NEWLINE_INDENT[depth]}]" if body else "[]"
 
 
-def _json_element_field(value) -> str:
-    """A scalar or a flat list of scalars as a field of an element doc."""
-    if isinstance(value, (list, tuple)):
-        return _json_list(map(_json_scalar, value), 4)
-    return _json_scalar(value)
+def _json_angle(angle) -> str:
+    # An angle is finite and not a bool (the element validated it); one that
+    # is not exactly a float, such as an int or a NumPy float, takes the chain.
+    return float.__repr__(angle) if type(angle) is float else _json_scalar(angle)
 
 
-# Element fields of exactly these types skip the isinstance chain; every
-# other value (a list, a bool, a subclass such as a NumPy float) takes it.
-_ELEMENT_FIELD_BY_TYPE = {
-    str: _json_string,
-    int: int.__repr__,
-    float: float.__repr__,
+def _element_template(tag: str, *fields: str) -> str:
+    """The %-template of an element doc inside a layer, fields in to_doc order."""
+    return f'{{\n        "type": "{tag}",\n        ' + ",\n        ".join(fields) + "\n      }"
+
+
+_PATHS_FIELD = '"paths": [\n          %d,\n          %d\n        ]'
+_BS_TEXT = _element_template(BeamSplitter.tag, _PATHS_FIELD, '"theta": %s')
+_PS_TEXT = _element_template(PhaseShifter.tag, '"path": %d', '"pol": %s', '"phi": %s')
+_ROT_TEXT = _element_template(Rotator.tag, '"path": %d')
+_PBS_TEXT = _element_template(PolarizingBeamSplitter.tag, _PATHS_FIELD)
+_PERM_TEXT = _element_template(Crossing.tag, '"map": %s')
+
+# Paths are validated Python ints, so %d writes them as json does.
+_ELEMENT_TEXT = {
+    BeamSplitter.tag: lambda e: _BS_TEXT % (e.path_a, e.path_b, _json_angle(e.theta)),
+    PhaseShifter.tag: lambda e: _PS_TEXT % (e.path, _json_string(e.pol_filter), _json_angle(e.phi)),
+    Rotator.tag: lambda e: _ROT_TEXT % e.path,
+    PolarizingBeamSplitter.tag: lambda e: _PBS_TEXT % (e.path_a, e.path_b),
+    Crossing.tag: lambda e: _PERM_TEXT % _json_list(map(int.__repr__, e.path_map), 4),
 }
-
-
-def _json_element(doc: dict) -> str:
-    """A flat element doc as json.dumps(indent=2) writes it inside a layer."""
-    fields = [
-        f"{_json_string(key)}: {_ELEMENT_FIELD_BY_TYPE.get(type(value), _json_element_field)(value)}"
-        for key, value in doc.items()
-    ]
-    return "{\n        " + ",\n        ".join(fields) + "\n      }" if fields else "{}"
 
 
 def netlist_to_json(netlist: OpticalNetlist) -> str:
@@ -638,13 +652,17 @@ def netlist_to_json(netlist: OpticalNetlist) -> str:
 
     The text is byte for byte json.dumps(doc, indent=2) + "\n" of the
     document {version, n_loc, uses_pol, layers: [[element.to_doc()]], meta:
-    {source_gates, output_relabel?}}; the tests keep json.dumps as the
-    reference. It is written here for that fixed shape because, given an
-    indent, json.dumps runs its pure-Python encoder, which took two thirds
-    of compile time on a 12-qubit netlist.
+    {source_gates, output_relabel?}}; the tests build that document from
+    each element's to_doc() and keep json.dumps of it as the reference. It
+    is written here for that fixed shape because, given an indent,
+    json.dumps runs its pure-Python encoder, which took two thirds of
+    compile time on a 12-qubit netlist. Each element is one %-template per
+    kind (_ELEMENT_TEXT, by tag) filled from its fields: the netlist
+    validated every path as an int and every angle as a finite non-bool
+    number, so paths use %d and angles float.__repr__ when exactly a float.
     """
     layers = _json_list(
-        (_json_list([_json_element(e.to_doc()) for e in layer], 2) for layer in netlist.layers), 1
+        (_json_list([_ELEMENT_TEXT[e.tag](e) for e in layer], 2) for layer in netlist.layers), 1
     )
     meta = '"source_gates": ' + _json_list(map(_json_scalar, netlist.source_gates), 2)
     if netlist.output_relabel is not None:

@@ -28,7 +28,7 @@ def render_diagram(netlist: OpticalNetlist) -> str:
     for layer in netlist.layers:
         tokens: dict[int, str] = {}
         for element in layer:
-            modes = sorted(element.modes(space))
+            modes = sorted(element.footprint(space))
             tokens[modes[0]] = element.glyph
             for m in modes[1:]:
                 tokens[m] = _TIE

@@ -20,15 +20,25 @@ Element conventions (pinned, every consumer relies on them):
   - CROSSING permutes whole paths (both polarizations) with unit
     coefficients; map[p] is the output path for input path p.
 
+An element occupies every mode of each path it acts on, except that an H or
+V filtered phase shifter occupies that one mode and a crossing occupies only
+the paths it moves. Rotators, polarizing beam splitters and H/V filters need
+a polarized space; angles are finite numbers, never bools.
+
 A netlist is an ordered list of layers; elements within one layer must act
 on disjoint mode sets. An optional output relabeling (a path permutation
 applied after the last layer) models rerouting that is realized by renaming
 output ports instead of physically crossing beams.
 
 Each element kind is one frozen dataclass that owns the whole kind: its
-validation against a mode space, its footprint (modes), its layer-kernel
-rows, its JSON form (tag, to_doc, from_doc) and its diagram glyph. Adding a
-kind means adding one class here plus its lowering in the compiler.
+footprint, its layer-kernel rows, its JSON form (tag, to_doc, from_doc) and
+its diagram glyph. footprint(space) is the one validating footprint per
+kind: in a single pass it checks the element against the space and returns
+the tuple of modes it occupies. OpticalNetlist, element_modes,
+prune_dead_paths and the diagram each call it once per element and nothing
+caches it; a layer is disjoint when its footprints, concatenated, hold no
+mode twice. Adding a kind means adding one class here, its lowering and its
+JSON template in the compiler.
 
 A layer (disjoint 2x2 blocks, phases and path swaps, like a column of a Reck
 or Clements mesh) is compiled when applied into one gather update x[t] =
@@ -87,6 +97,10 @@ class ModeSpace:
     uses_pol: bool = False
 
     def __post_init__(self):
+        if type(self.n_loc) is not int:  # a bool or float is refused, never truncated
+            raise NetlistError(f"location qubit count {self.n_loc!r} is not an int")
+        if type(self.uses_pol) is not bool:
+            raise NetlistError(f"uses_pol {self.uses_pol!r} is not a bool")
         if self.n_loc < 0:
             raise NetlistError("negative location qubit count")
         if self.n_loc > MAX_PATH_BITS:
@@ -139,6 +153,8 @@ class ModeSpace:
         return f"{bits},{self.pol_of(mode)}" if self.uses_pol else bits
 
     def _check_mode(self, mode: int) -> None:
+        if type(mode) is not int:
+            raise NetlistError(f"mode {mode!r} is not an int")
         if not 0 <= mode < self.dim:
             raise NetlistError(f"mode {mode} out of range for dim {self.dim}")
 
@@ -177,11 +193,17 @@ def _check_permutation(path_map: tuple, space: ModeSpace, name: str) -> None:
         raise NetlistError(f"{name} must permute all path indices")
 
 
-def _check_pair(space: ModeSpace, a: int, b: int, name: str) -> None:
-    space._check_path(a)
-    space._check_path(b)
+def _check_angle(angle: float, what: str) -> None:
+    if type(angle) is bool or not math.isfinite(angle):  # JSON would write a bool as true
+        raise NetlistError(f"{what} must be a finite number, got {angle!r}")
+
+
+def _pair_modes(space: ModeSpace, a: int, b: int, name: str) -> tuple[int, ...]:
+    """The modes of two distinct checked paths."""
+    modes = space.path_modes(a) + space.path_modes(b)
     if a == b:
         raise NetlistError(f"{name} needs two distinct paths")
+    return modes
 
 
 @dataclass(frozen=True)
@@ -193,13 +215,10 @@ class BeamSplitter:
     tag = "bs"
     glyph = "BS"
 
-    def validate(self, space: ModeSpace) -> None:
-        _check_pair(space, self.path_a, self.path_b, "beam splitter")
-        if not math.isfinite(self.theta):
-            raise NetlistError("beam splitter angle must be finite")
-
-    def modes(self, space: ModeSpace) -> frozenset[int]:
-        return frozenset(space.path_modes(self.path_a) + space.path_modes(self.path_b))
+    def footprint(self, space: ModeSpace) -> tuple[int, ...]:
+        modes = _pair_modes(space, self.path_a, self.path_b, "beam splitter")
+        _check_angle(self.theta, "beam splitter angle")
+        return modes
 
     def rows(self, w: int) -> tuple:
         ct, ist = math.cos(self.theta), 1j * math.sin(self.theta)
@@ -229,20 +248,16 @@ class PhaseShifter:
     def glyph(self) -> str:
         return {POL_H: "φh", POL_V: "φv"}.get(self.pol_filter, "φ")
 
-    def validate(self, space: ModeSpace) -> None:
-        space._check_path(self.path)
-        if self.pol_filter not in _POL_FILTERS:
-            raise NetlistError(f"bad pol filter {self.pol_filter!r}")
-        if self.pol_filter != POL_BOTH and not space.uses_pol:
+    def footprint(self, space: ModeSpace) -> tuple[int, ...]:
+        modes, pol = space.path_modes(self.path), self.pol_filter
+        if pol not in _POL_FILTERS:
+            raise NetlistError(f"bad pol filter {pol!r}")
+        if pol != POL_BOTH and not space.uses_pol:
             raise NetlistError("pol-filtered phase shifter needs a polarized space")
-        if not math.isfinite(self.phi):
-            raise NetlistError("phase shift must be finite")
-
-    def modes(self, space: ModeSpace) -> frozenset[int]:
-        modes = space.path_modes(self.path)
-        if self.pol_filter == POL_BOTH or not space.uses_pol:
-            return frozenset(modes)
-        return frozenset({modes[0] if self.pol_filter == POL_H else modes[1]})
+        _check_angle(self.phi, "phase shift")
+        if pol == POL_BOTH:
+            return modes
+        return (modes[1] if pol == POL_V else modes[0],)
 
     def rows(self, w: int) -> tuple:
         m, factor = self.path * w, cmath.exp(1j * self.phi)
@@ -267,13 +282,10 @@ class Rotator:
     tag = "rot"
     glyph = "R"
 
-    def validate(self, space: ModeSpace) -> None:
+    def footprint(self, space: ModeSpace) -> tuple[int, ...]:
         if not space.uses_pol:
             raise NetlistError("rotator needs a polarized space")
-        space._check_path(self.path)
-
-    def modes(self, space: ModeSpace) -> frozenset[int]:
-        return frozenset(space.path_modes(self.path))
+        return space.path_modes(self.path)
 
     def rows(self, w: int) -> tuple:
         h, v = self.path * 2, self.path * 2 + 1
@@ -295,12 +307,10 @@ class PolarizingBeamSplitter:
     tag = "pbs"
     glyph = "PBS"
 
-    def validate(self, space: ModeSpace) -> None:
+    def footprint(self, space: ModeSpace) -> tuple[int, ...]:
         if not space.uses_pol:
             raise NetlistError("polarizing beam splitter needs a polarized space")
-        _check_pair(space, self.path_a, self.path_b, "polarizing beam splitter")
-
-    modes = BeamSplitter.modes
+        return _pair_modes(space, self.path_a, self.path_b, "polarizing beam splitter")
 
     def rows(self, w: int) -> tuple:
         va, vb = self.path_a * 2 + 1, self.path_b * 2 + 1
@@ -324,12 +334,10 @@ class Crossing:
     def __post_init__(self):
         object.__setattr__(self, "path_map", tuple(self.path_map))
 
-    def validate(self, space: ModeSpace) -> None:
+    def footprint(self, space: ModeSpace) -> tuple[int, ...]:
         _check_permutation(self.path_map, space, "crossing map")
-
-    def modes(self, space: ModeSpace) -> frozenset[int]:
         moved = (space.path_modes(s) for s, d in enumerate(self.path_map) if s != d)
-        return frozenset(m for modes in moved for m in modes)
+        return tuple(m for modes in moved for m in modes)
 
     def rows(self, w: int) -> list:
         moved = [(s, d) for s, d in enumerate(self.path_map) if s != d]
@@ -348,21 +356,22 @@ OpticalElement = Union[BeamSplitter, PhaseShifter, Rotator, PolarizingBeamSplitt
 ELEMENT_KINDS = (BeamSplitter, PhaseShifter, Rotator, PolarizingBeamSplitter, Crossing)
 
 
-def _validate(element: OpticalElement, space: ModeSpace) -> None:
+def _footprint(element: OpticalElement, space: ModeSpace) -> tuple[int, ...]:
     if not isinstance(element, ELEMENT_KINDS):
         raise NetlistError(f"unknown element {element!r}")
-    element.validate(space)
+    return element.footprint(space)
 
 
 def element_modes(element: OpticalElement, space: ModeSpace) -> frozenset[int]:
-    """The modes an element occupies (its full device footprint)."""
-    return element.modes(space)
+    """The modes an element occupies (its full device footprint); raises
+    NetlistError if the element does not fit the space."""
+    return frozenset(_footprint(element, space))
 
 
 def element_unitary(element: OpticalElement, space: ModeSpace) -> np.ndarray:
     """Dense unitary of one element on the full mode space: its layer
     kernel applied to the identity."""
-    _validate(element, space)
+    _footprint(element, space)
     u = np.eye(space.dim, dtype=complex)
     _apply_layer(u, (element,), space)
     return u
@@ -422,14 +431,13 @@ class OpticalNetlist:
             object.__setattr__(self, "source_gates", tuple(self.source_gates))
         if len(self.source_gates) != len(self.layers):
             raise NetlistError("source_gates must annotate each layer")
+        space = self.space
         for layer in self.layers:
-            seen: set[int] = set()
+            used: list[int] = []
             for element in layer:
-                _validate(element, self.space)
-                modes = element.modes(self.space)
-                if seen & modes:
-                    raise NetlistError("elements within a layer must act on disjoint modes")
-                seen |= modes
+                used += _footprint(element, space)
+            if len(set(used)) != len(used):
+                raise NetlistError("elements within a layer must act on disjoint modes")
         if self.output_relabel is not None:
             object.__setattr__(self, "output_relabel", tuple(self.output_relabel))
             _check_permutation(self.output_relabel, self.space, "output relabeling")

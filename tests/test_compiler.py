@@ -44,6 +44,7 @@ from photonc.optics import (
     Crossing,
     ModeAmplitudes,
     ModeSpace,
+    NetlistError,
     OpticalNetlist,
     PhaseShifter,
     PolarizingBeamSplitter,
@@ -109,6 +110,15 @@ class TestQubitAssignment:
             QubitAssignment(2, (0, 0), 1)
         with pytest.raises(CompileError):
             QubitAssignment(2, (0, 1), 1)
+
+    @pytest.mark.parametrize("n_qubits, order, pol", [
+        (2, (0.9, 1), None), (2, (1.0, 0), None), (2, (True, 0), None),
+        (2, (0,), 1.0), (2.0, (0, 1), None),
+    ])
+    def test_qubits_are_ints_never_truncated(self, n_qubits, order, pol):
+        # (0.9, 1) used to become (0, 1).
+        with pytest.raises(CompileError, match="not an int"):
+            QubitAssignment(n_qubits, order, pol)
 
 
 class TestDecomposeU2:
@@ -478,6 +488,14 @@ class TestPrune:
         with pytest.raises(Exception):
             prune_dead_paths(self.netlist, [99])
 
+    @pytest.mark.parametrize("mode", [1.9, 1.0, True])
+    def test_modes_are_ints_never_truncated(self, mode):
+        # [1.9] used to prune for mode 1.
+        with pytest.raises(NetlistError, match="not an int"):
+            prune_dead_paths(self.netlist, [mode])
+        with pytest.raises(CompileError, match="not an int"):
+            CompileOptions(prune=True, input_support={mode})
+
     def test_compile_option_prunes(self):
         net = compile_circuit(
             self.circuit,
@@ -618,6 +636,18 @@ class TestNetlistJson:
             ),
         )
         assert netlist_from_json(netlist_to_json(net)) == net
+
+    def test_library_built_netlist_round_trips(self):
+        # Int and NumPy angles are written as json writes them and load as
+        # equal floats; a bool angle never gets this far (refused at build).
+        space = ModeSpace(1, uses_pol=True)
+        net = OpticalNetlist(space, (
+            (BeamSplitter(0, 1, 1),),
+            (PhaseShifter(0, np.float64(-0.5), "H"), PhaseShifter(1, 0)),
+        ))
+        assert netlist_from_json(netlist_to_json(net)) == net
+        with pytest.raises(NetlistError, match="finite number"):
+            OpticalNetlist(space, ((BeamSplitter(0, 1, True),),))
 
     @pytest.mark.parametrize(
         "text",

@@ -1,6 +1,8 @@
 """Properties of the layer kernel behind propagate, netlist_unitary and
 element_unitary, of the per-kind element classes, and of the netlist JSON
-writer against json.dumps, on random layered netlists."""
+writer against json.dumps, on random layered netlists; and of element and
+layer validation against a brute-force reference, on layers that may be
+invalid."""
 
 import json
 import math
@@ -19,10 +21,12 @@ from photonc.optics import (
     Crossing,
     ModeAmplitudes,
     ModeSpace,
+    NetlistError,
     OpticalNetlist,
     PhaseShifter,
     PolarizingBeamSplitter,
     Rotator,
+    element_modes,
     element_unitary,
     netlist_unitary,
     propagate,
@@ -150,7 +154,7 @@ def test_kernel_rows_stay_in_footprint(net):
     # writes only its own modes, and the modes of a layer are disjoint.
     w = 2 if net.space.uses_pol else 1
     for element in net.elements():
-        footprint = element.modes(net.space)
+        footprint = element_modes(element, net.space)
         for target, source0, _, source1, _ in element.rows(w):
             assert {target, source0, source1} <= footprint
 
@@ -162,6 +166,137 @@ def test_stats_count_every_element(net):
     counted = (stats.beam_splitters + stats.polarizing_beam_splitters + stats.phase_shifters
                + stats.rotators + stats.crossings)
     assert counted == net.n_elements
+
+
+def reference_footprint(element, space):
+    """The modes an element occupies by the conventions of the optics module
+    docstring, or None where it does not fit the space: mode path*2 + pol
+    (H = 0) on a polarized space, else path; an H/V filter takes one mode and
+    a crossing only the paths it moves."""
+    def is_path(p):
+        return type(p) is int and 0 <= p < 2 ** space.n_loc
+
+    def is_angle(a):
+        return type(a) is not bool and math.isfinite(a)
+
+    def both(*paths):
+        pols = (0, 1) if space.uses_pol else (0,)
+        return [p * len(pols) + k for p in paths for k in pols]
+
+    needs_pol = isinstance(element, (Rotator, PolarizingBeamSplitter)) or (
+        isinstance(element, PhaseShifter) and element.pol_filter in (POL_H, POL_V))
+    if needs_pol and not space.uses_pol:
+        return None
+    if isinstance(element, (BeamSplitter, PolarizingBeamSplitter)):
+        a, b = element.path_a, element.path_b
+        if not (is_path(a) and is_path(b)) or a == b:
+            return None
+        if isinstance(element, BeamSplitter) and not is_angle(element.theta):
+            return None
+        return both(a, b)
+    if isinstance(element, PhaseShifter):
+        if not is_path(element.path) or not is_angle(element.phi):
+            return None
+        if element.pol_filter == POL_BOTH:
+            return both(element.path)
+        if element.pol_filter not in (POL_H, POL_V):
+            return None
+        return [element.path * 2 + (element.pol_filter == POL_V)]
+    if isinstance(element, Rotator):
+        return both(element.path) if is_path(element.path) else None
+    path_map = element.path_map
+    if not all(type(p) is int for p in path_map) or sorted(path_map) != list(range(2 ** space.n_loc)):
+        return None
+    return both(*(p for p, q in enumerate(path_map) if p != q))
+
+
+@st.composite
+def loose_layers(draw, space):
+    """Layers that may break any rule: overlapping elements, paths out of
+    range or not ints, angles not finite or bools, bad crossing maps, and
+    polarization elements on an unpolarized space. Most draws keep the rules,
+    so valid layers of several elements are common too."""
+    n_paths = space.n_paths
+    bad_paths = st.sampled_from([-1, n_paths, 0.0, 1.0, True, False, np.int64(0)])
+    bad_angles = st.sampled_from([True, False, math.nan, math.inf])
+
+    def rarely():
+        return draw(st.integers(0, 11)) == 0
+
+    def angle():
+        return draw(bad_angles) if rarely() else draw(ANGLES | st.integers(-3, 3))
+
+    def crossing_map(free):
+        moved = [free.pop() for _ in range(draw(st.integers(0, len(free))))]
+        path_map = list(range(n_paths))
+        for src, dst in zip(moved, draw(st.permutations(moved))):
+            path_map[src] = dst
+        if rarely():  # may overlap another element
+            a, b = draw(st.integers(0, n_paths - 1)), draw(st.integers(0, n_paths - 1))
+            path_map[a], path_map[b] = path_map[b], path_map[a]
+        if rarely():
+            path_map[draw(st.integers(0, n_paths - 1))] = draw(bad_paths | st.integers(0, n_paths - 1))
+        if rarely():
+            path_map = path_map[1:] if draw(st.booleans()) else path_map + [n_paths]
+        return tuple(path_map)
+
+    layers = []
+    for _ in range(draw(st.integers(0, 4))):
+        free = list(draw(st.permutations(range(n_paths))))
+
+        def path():
+            if rarely():
+                return draw(bad_paths)
+            if rarely() or not free:  # may overlap another element
+                return draw(st.integers(0, n_paths - 1))
+            return free.pop()
+
+        kinds = ["bs", "ps", "cross"]
+        if space.uses_pol or draw(st.integers(0, 3)) == 0:
+            kinds += ["rot", "pbs", "ps-filtered"]
+        layer = []
+        for _ in range(draw(st.integers(0, 3))):
+            kind = draw(st.sampled_from(kinds))
+            if kind == "bs":
+                layer.append(BeamSplitter(path(), path(), angle()))
+            elif kind == "ps":
+                layer.append(PhaseShifter(path(), angle(), "X" if rarely() else POL_BOTH))
+            elif kind == "ps-filtered":
+                layer.append(PhaseShifter(path(), angle(), draw(st.sampled_from([POL_H, POL_V]))))
+            elif kind == "rot":
+                layer.append(Rotator(path()))
+            elif kind == "pbs":
+                layer.append(PolarizingBeamSplitter(path(), path()))
+            else:
+                layer.append(Crossing(crossing_map(free)))
+        layers.append(tuple(layer))
+    return tuple(layers)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_validation_matches_brute_force_reference(data):
+    space = ModeSpace(data.draw(st.integers(0, 3)), data.draw(st.booleans()))
+    layers = data.draw(loose_layers(space))
+    footprints = [[reference_footprint(e, space) for e in layer] for layer in layers]
+    for layer, prints in zip(layers, footprints):
+        for element, modes in zip(layer, prints):
+            if modes is None:
+                with pytest.raises(NetlistError):
+                    element_modes(element, space)
+            else:
+                assert element_modes(element, space) == frozenset(modes)
+    valid = all(
+        modes is not None for prints in footprints for modes in prints
+    ) and not any(
+        set(a) & set(b) for prints in footprints
+        for i, a in enumerate(prints) for b in prints[i + 1:]
+    )
+    if valid:
+        assert OpticalNetlist(space, layers).layers == layers
+    else:
+        with pytest.raises(NetlistError):
+            OpticalNetlist(space, layers)
 
 
 def test_mixed_polarized_layer_against_hand_matrix():

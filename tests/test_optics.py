@@ -85,6 +85,22 @@ class TestModeSpace:
             ModeSpace(2).mode_of("102")
 
 
+    @pytest.mark.parametrize("n_loc, uses_pol", [
+        (2.0, False), (True, False), ("2", False), (2, "no"), (2, 1), (2, None),
+    ])
+    def test_header_types_refused(self, n_loc, uses_pol):
+        # ModeSpace(2, "no") was a polarized space and ModeSpace(2.0) failed
+        # later with a TypeError.
+        with pytest.raises(NetlistError, match="is not a"):
+            ModeSpace(n_loc, uses_pol)
+
+    @pytest.mark.parametrize("mode", [1.5, 1.0, True, np.int64(1)])
+    def test_modes_are_ints_never_truncated(self, mode):
+        with pytest.raises(NetlistError, match="not an int"):
+            ModeAmplitudes.basis(ModeSpace(1), mode)
+        with pytest.raises(NetlistError, match="not an int"):
+            ModeSpace(1).mode_label(mode)
+
     def test_size_cap(self):
         # Builds no array: a ModeSpace holds only its two header fields.
         assert MAX_PATH_BITS >= 14
@@ -186,6 +202,16 @@ class TestElementValidation:
     def test_paths_are_ints_never_truncated(self, element):
         with pytest.raises(NetlistError, match="not an int"):
             element_unitary(element, ModeSpace(1, uses_pol=True))
+
+    @pytest.mark.parametrize("element", [
+        BeamSplitter(0, 1, True), BeamSplitter(0, 1, False), PhaseShifter(0, True),
+    ])
+    def test_bool_angles_refused(self, element):
+        # json would write the angle as true, which the loader refuses.
+        with pytest.raises(NetlistError, match="finite number"):
+            element_unitary(element, ModeSpace(1))
+        with pytest.raises(NetlistError, match="finite number"):
+            OpticalNetlist(ModeSpace(1), ((element,),))
 
     def test_crossing_keeps_its_map(self):
         assert Crossing([1.9, 0]).path_map == (1.9, 0)
