@@ -141,7 +141,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     text = netlist_to_json(netlist)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
-        print(f"wrote {args.output}: {len(netlist.layers)} layer(s), {netlist.n_elements} element(s)")
+        print(f"wrote {args.output}: {netlist.n_layers} layer(s), {netlist.n_elements} element(s)")
     else:
         sys.stdout.write(text)
     return 0
@@ -178,7 +178,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     stats = device_stats(netlist)
     print(f"paths: {stats.n_paths}")
     print(f"modes: {stats.n_modes}")
-    print(f"layers: {len(netlist.layers)}")
+    print(f"layers: {netlist.n_layers}")
     print(f"beam splitters: {stats.beam_splitters}")
     print(f"polarizing beam splitters: {stats.polarizing_beam_splitters}")
     print(f"phase shifters: {stats.phase_shifters}")

@@ -33,21 +33,25 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .circuit import Gate, GateKind, QuantumCircuit, gate_text, one_qubit_matrix
 from .optics import (
+    BS,
     ELEMENT_KINDS,
+    PBS,
+    PERM,
     POL_BOTH,
     POL_V,
+    PS,
+    ROT,
     BeamSplitter,
     Crossing,
-    Layer,
     ModeSpace,
     NetlistFormatError,
     OpticalElement,
@@ -56,7 +60,8 @@ from .optics import (
     PolarizingBeamSplitter,
     Rotator,
     SpaceTooLargeError,
-    _doc_typed,
+    _POL_FILTERS,
+    netlist_from_docs,
 )
 
 
@@ -477,9 +482,7 @@ def compile_circuit(
     relabel: tuple[int, ...] | None = None
     if options.relabel_terminal_crossings:
         layers, notes, relabel = _extract_terminal_relabel(layers, notes, space)
-    netlist = OpticalNetlist(
-        space, tuple(tuple(layer) for layer in layers), tuple(notes), relabel
-    )
+    netlist = OpticalNetlist(space, layers, notes, relabel)
     if options.prune:
         assert options.input_support is not None
         netlist = prune_dead_paths(netlist, options.input_support)
@@ -489,10 +492,11 @@ def compile_circuit(
 def prune_dead_paths(netlist: OpticalNetlist, input_support: Iterable[int]) -> OpticalNetlist:
     """Drop elements that can never see amplitude from the given input modes.
 
-    Liveness is tracked as a set of possibly-nonzero modes, layer by layer;
-    a kept element marks its whole footprint live. Propagation through the
-    pruned netlist matches the original for any input supported on
-    input_support.
+    Liveness is tracked as a set of possibly-nonzero modes, element by
+    element in netlist order over the table's footprints; a kept element
+    marks its whole footprint live, and emptied layers are dropped.
+    Propagation through the pruned netlist matches the original for any
+    input supported on input_support.
     """
     space = netlist.space
     live = set(input_support)
@@ -500,32 +504,28 @@ def prune_dead_paths(netlist: OpticalNetlist, input_support: Iterable[int]) -> O
         raise CompileError("pruning needs a nonempty input support")
     for mode in live:
         space._check_mode(mode)
-    kept_layers: list[Layer] = []
-    kept_notes: list[str] = []
-    for layer, note in zip(netlist.layers, netlist.source_gates):
-        # Footprints within a layer are disjoint, so marking a kept element
-        # live cannot make another element of its layer look live.
-        kept = []
-        for element in layer:
-            modes = element.footprint(space)
-            if not live.isdisjoint(modes):
-                kept.append(element)
-                live.update(modes)
-        if kept:
-            kept_layers.append(tuple(kept))
-            kept_notes.append(note)
-    return OpticalNetlist(space, tuple(kept_layers), tuple(kept_notes), netlist.output_relabel)
+    _, rows, modes = netlist.footprints()
+    bounds = np.searchsorted(rows, np.arange(netlist.n_elements + 1)).tolist()
+    modes = modes.tolist()
+    keep = np.zeros(netlist.n_elements, bool)
+    for row, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        # Layers are disjoint: a kept element cannot make a layer-mate look live.
+        touched = modes[lo:hi]
+        if not live.isdisjoint(touched):
+            keep[row] = True
+            live.update(touched)
+    return netlist.subset(keep)
 
 
 def device_stats(netlist: OpticalNetlist) -> DeviceStats:
-    """Exact element counts from a direct scan of the netlist layers."""
-    counts = Counter(type(e) for e in netlist.elements())
+    """Exact element counts from one count over the kind column."""
+    counts = np.bincount(netlist.table.kind, minlength=len(ELEMENT_KINDS)).tolist()
     return DeviceStats(
-        beam_splitters=counts[BeamSplitter],
-        polarizing_beam_splitters=counts[PolarizingBeamSplitter],
-        phase_shifters=counts[PhaseShifter],
-        rotators=counts[Rotator],
-        crossings=counts[Crossing],
+        beam_splitters=counts[BS],
+        polarizing_beam_splitters=counts[PBS],
+        phase_shifters=counts[PS],
+        rotators=counts[ROT],
+        crossings=counts[PERM],
         n_paths=netlist.space.n_paths,
         n_modes=netlist.space.dim,
     )
@@ -580,36 +580,14 @@ def prepare_path_state(amplitudes: Sequence[complex], space: ModeSpace) -> list[
     return layers
 
 
-_KIND_BY_TAG = {kind.tag: kind for kind in ELEMENT_KINDS}
-
-
-def _kind_of(doc: dict) -> type:
-    kind = _KIND_BY_TAG.get(doc.get("type"))
-    if kind is None:
-        raise NetlistFormatError(f"unknown element type {doc.get('type')!r}")
-    return kind
+def _doc_typed(value, kind: type, what: str):
+    """A decoded JSON value of exactly this type: a bool is no int."""
+    if type(value) is not kind:
+        raise NetlistFormatError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
+    return value
 
 
 _NEWLINE_INDENT = tuple("\n" + "  " * depth for depth in range(6))
-
-
-def _json_scalar(value) -> str:
-    """One scalar as json.dumps writes it: the checks of json.encoder in its
-    order (bool before int; a NumPy float is a float). Floats are finite
-    here, because every element validates its angles."""
-    if isinstance(value, str):
-        return _json_string(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _json_list(items: Iterable[str], depth: int) -> str:
@@ -619,57 +597,58 @@ def _json_list(items: Iterable[str], depth: int) -> str:
     return f"[{inner}{body}{_NEWLINE_INDENT[depth]}]" if body else "[]"
 
 
-def _json_angle(angle) -> str:
-    # An angle is finite and not a bool (the element validated it); one that
-    # is not exactly a float, such as an int or a NumPy float, takes the chain.
-    return float.__repr__(angle) if type(angle) is float else _json_scalar(angle)
-
-
 def _element_template(tag: str, *fields: str) -> str:
     """The %-template of an element doc inside a layer, fields in to_doc order."""
     return f'{{\n        "type": "{tag}",\n        ' + ",\n        ".join(fields) + "\n      }"
 
 
 _PATHS_FIELD = '"paths": [\n          %d,\n          %d\n        ]'
-_BS_TEXT = _element_template(BeamSplitter.tag, _PATHS_FIELD, '"theta": %s')
-_PS_TEXT = _element_template(PhaseShifter.tag, '"path": %d', '"pol": %s', '"phi": %s')
+_BS_TEXT = _element_template(BeamSplitter.tag, _PATHS_FIELD, '"theta": %r')
+_PS_TEXT = _element_template(PhaseShifter.tag, '"path": %d', '"pol": %s', '"phi": %r')
 _ROT_TEXT = _element_template(Rotator.tag, '"path": %d')
 _PBS_TEXT = _element_template(PolarizingBeamSplitter.tag, _PATHS_FIELD)
 _PERM_TEXT = _element_template(Crossing.tag, '"map": %s')
+_POL_TEXT = tuple(map(_json_string, _POL_FILTERS))
+_TEXT_BLOCK = 1 << 12
 
-# Paths are validated Python ints, so %d writes them as json does.
-_ELEMENT_TEXT = {
-    BeamSplitter.tag: lambda e: _BS_TEXT % (e.path_a, e.path_b, _json_angle(e.theta)),
-    PhaseShifter.tag: lambda e: _PS_TEXT % (e.path, _json_string(e.pol_filter), _json_angle(e.phi)),
-    Rotator.tag: lambda e: _ROT_TEXT % e.path,
-    PolarizingBeamSplitter.tag: lambda e: _PBS_TEXT % (e.path_a, e.path_b),
-    Crossing.tag: lambda e: _PERM_TEXT % _json_list(map(int.__repr__, e.path_map), 4),
-}
+
+def _element_texts(netlist: OpticalNetlist) -> Iterator[str]:
+    """Each element's document text, in netlist order, from the table columns
+    (a block of rows at a time, so that no whole-netlist list is held)."""
+    table = netlist.table
+    maps = [_json_list(map(int.__repr__, path_map.tolist()), 4) for path_map in table.maps]
+    for start in range(0, netlist.n_elements, _TEXT_BLOCK):
+        block = (column[start:start + _TEXT_BLOCK].tolist() for column in table[:5])
+        yield from (
+            _BS_TEXT % (a, b, angle) if kind == BS
+            else _PS_TEXT % (a, _POL_TEXT[pol], angle) if kind == PS
+            else _ROT_TEXT % a if kind == ROT
+            else _PBS_TEXT % (a, b) if kind == PBS
+            else _PERM_TEXT % maps[a]
+            for kind, a, b, angle, pol in zip(*block)
+        )
 
 
 def netlist_to_json(netlist: OpticalNetlist) -> str:
     """Serialize a netlist; floats keep full precision (exact round-trip).
 
-    The text is byte for byte json.dumps(doc, indent=2) + "\n" of the
-    document {version, n_loc, uses_pol, layers: [[element.to_doc()]], meta:
-    {source_gates, output_relabel?}}; the tests build that document from
-    each element's to_doc() and keep json.dumps of it as the reference. It
-    is written here for that fixed shape because, given an indent,
-    json.dumps runs its pure-Python encoder, which took two thirds of
-    compile time on a 12-qubit netlist. Each element is one %-template per
-    kind (_ELEMENT_TEXT, by tag) filled from its fields: the netlist
-    validated every path as an int and every angle as a finite non-bool
-    number, so paths use %d and angles float.__repr__ when exactly a float.
+    The text is byte for byte json.dumps(doc, indent=2) + "\n" of {version,
+    n_loc, uses_pol, layers: [[element.to_doc()]], meta: {source_gates,
+    output_relabel?}} over the views of netlist.layers, the tests' reference.
+    It is written here because with an indent json.dumps runs its pure-Python
+    encoder (two thirds of compile time at 12 qubits): one %-template per
+    kind, filled from the table rows, checked ints by %d and finite floats by
+    %r (float.__repr__, as json writes them), with no element object.
     """
-    layers = _json_list(
-        (_json_list([_ELEMENT_TEXT[e.tag](e) for e in layer], 2) for layer in netlist.layers), 1
-    )
-    meta = '"source_gates": ' + _json_list(map(_json_scalar, netlist.source_gates), 2)
+    texts = _element_texts(netlist)
+    counts = np.diff(netlist.table.offsets).tolist()
+    layers = _json_list((_json_list(islice(texts, count), 2) for count in counts), 1)
+    meta = '"source_gates": ' + _json_list(map(_json_string, netlist.source_gates), 2)
     if netlist.output_relabel is not None:
-        meta += ',\n    "output_relabel": ' + _json_list(map(_json_scalar, netlist.output_relabel), 2)
+        meta += ',\n    "output_relabel": ' + _json_list(map(int.__repr__, netlist.output_relabel), 2)
     return (
-        f'{{\n  "version": 1,\n  "n_loc": {_json_scalar(netlist.space.n_loc)},\n'
-        f'  "uses_pol": {_json_scalar(netlist.space.uses_pol)},\n  "layers": {layers},\n'
+        f'{{\n  "version": 1,\n  "n_loc": {netlist.space.n_loc:d},\n'
+        f'  "uses_pol": {"true" if netlist.space.uses_pol else "false"},\n  "layers": {layers},\n'
         f'  "meta": {{\n    {meta}\n  }}\n}}\n'
     )
 
@@ -688,16 +667,9 @@ def netlist_from_json(text: str) -> OpticalNetlist:
         if type(uses_pol) is not bool:
             raise NetlistFormatError(f"uses_pol must be true or false, got {uses_pol!r}")
         space = ModeSpace(n_loc, uses_pol)
-        layers = tuple(
-            tuple(_kind_of(e).from_doc(e) for e in layer) for layer in doc["layers"]
-        )
         meta = doc.get("meta", {})
         notes = tuple(_doc_typed(s, str, "source gate") for s in meta.get("source_gates", ()))
-        relabel_doc = meta.get("output_relabel")
-        relabel = None
-        if relabel_doc is not None:
-            relabel = tuple(_doc_typed(p, int, "output relabel entry") for p in relabel_doc)
-        return OpticalNetlist(space, layers, notes, relabel)
+        return netlist_from_docs(space, doc["layers"], notes, meta.get("output_relabel"))
     except (NetlistFormatError, SpaceTooLargeError):
         raise
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:

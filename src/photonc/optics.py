@@ -30,33 +30,42 @@ on disjoint mode sets. An optional output relabeling (a path permutation
 applied after the last layer) models rerouting that is realized by renaming
 output ports instead of physically crossing beams.
 
-Each element kind is one frozen dataclass that owns the whole kind: its
-footprint, its layer-kernel rows, its JSON form (tag, to_doc, from_doc) and
-its diagram glyph. footprint(space) is the one validating footprint per
-kind: in a single pass it checks the element against the space and returns
-the tuple of modes it occupies. OpticalNetlist, element_modes,
-prune_dead_paths and the diagram each call it once per element and nothing
-caches it; a layer is disjoint when its footprints, concatenated, hold no
-mode twice. Adding a kind means adding one class here, its lowering and its
-JSON template in the compiler.
+A netlist's only storage is one read-only ElementTable, a row per element in
+netlist order: kind (int8, the class's index in ELEMENT_KINDS), paths a and
+b (int64), angle (float64) and pol (int8, a phase shifter filter's index in
+(H, V, both), else both), 0 where a kind has no such field; CSR offsets,
+layer i being rows offsets[i]:offsets[i+1]; and the crossing maps, indexed
+by a crossing's a. One table, not a block per kind, keeps the element order
+inside a layer that the JSON text and net.layers follow. Angles are float64,
+so a library-built int angle 2 is stored and written as 2.0, as loaded.
+
+One vectorized checker, _check, validates every table, packed by the
+constructor from element objects after exact-type checks on each value, or
+decoded by netlist_from_docs straight from JSON element documents: path
+ranges, distinct pairs, polarized-only kinds, finite angles, crossing
+permutations, and disjoint layers by one sort of (layer, mode) keys, in
+memory linear in the elements. Element objects are views that net.layers,
+net.elements(), element_modes and element_unitary build on demand; the
+kernel, stats, pruning, diagram and JSON writer read the columns.
 
 A layer (disjoint 2x2 blocks, phases and path swaps, like a column of a Reck
-or Clements mesh) is compiled when applied into one gather update x[t] =
-c0*x[s0] + c1*x[s1] on a vector or the rows of a block, which propagate,
-netlist_unitary and element_unitary share. Each element's rows(w) are its
-(t, s0, c0, s1, c1) over modes path*w + pol, w = 2 on a polarized space,
-else 1; they stay inside the element's modes, so a layer's rows update at
-once without one reading a target another writes. verify stays independent
-of the kernel through the statevec oracle, and the element conventions
+or Clements mesh) applies as one gather update x[t] = c0*x[s0] + c1*x[s1]
+to a vector or the rows of a block, shared by propagate, netlist_unitary
+and element_unitary. Each call builds the rows of the whole netlist, over
+modes path*w + pol (w = 2 on a polarized space, else 1), one per footprint
+mode and ordered by element, so a layer is one slice; as each row stays in
+its element's modes, a layer updates at once. verify stays independent of
+the kernel through the statevec oracle, and the element conventions
 through tests against the circuit module's HADAMARD and PAULI_X constants.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from dataclasses import dataclass, fields
+from itertools import chain
+from operator import attrgetter, itemgetter
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -161,49 +170,8 @@ class ModeSpace:
     def _check_path(self, path: int) -> None:
         if type(path) is not int:  # a bool or float is refused, never truncated
             raise NetlistError(f"path {path!r} is not an int")
-        if not 0 <= path < 1 << self.n_loc:  # not self.n_paths: one call less on a hot path
+        if not 0 <= path < self.n_paths:
             raise NetlistError(f"path {path} out of range for {self.n_paths} path(s)")
-
-
-def _doc_typed(value, kind: type, what: str):
-    """A decoded JSON value whose type is exactly kind: a bool is no int, and
-    a float is refused where an int belongs rather than truncated."""
-    if type(value) is not kind:
-        raise NetlistFormatError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
-    return value
-
-
-def _doc_angle(value, what: str) -> float:
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise NetlistFormatError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _doc_pair(value) -> tuple[int, int]:
-    if len(_doc_typed(value, list, "paths")) != 2:
-        raise NetlistFormatError(f"paths must list exactly two paths, got {value!r}")
-    return _doc_typed(value[0], int, "path"), _doc_typed(value[1], int, "path")
-
-
-def _check_permutation(path_map: tuple, space: ModeSpace, name: str) -> None:
-    for path in path_map:
-        if type(path) is not int:
-            raise NetlistError(f"{name} entry {path!r} is not an int")
-    if sorted(path_map) != list(range(space.n_paths)):
-        raise NetlistError(f"{name} must permute all path indices")
-
-
-def _check_angle(angle: float, what: str) -> None:
-    if type(angle) is bool or not math.isfinite(angle):  # JSON would write a bool as true
-        raise NetlistError(f"{what} must be a finite number, got {angle!r}")
-
-
-def _pair_modes(space: ModeSpace, a: int, b: int, name: str) -> tuple[int, ...]:
-    """The modes of two distinct checked paths."""
-    modes = space.path_modes(a) + space.path_modes(b)
-    if a == b:
-        raise NetlistError(f"{name} needs two distinct paths")
-    return modes
 
 
 @dataclass(frozen=True)
@@ -213,27 +181,9 @@ class BeamSplitter:
     theta: float = math.pi / 4
 
     tag = "bs"
-    glyph = "BS"
-
-    def footprint(self, space: ModeSpace) -> tuple[int, ...]:
-        modes = _pair_modes(space, self.path_a, self.path_b, "beam splitter")
-        _check_angle(self.theta, "beam splitter angle")
-        return modes
-
-    def rows(self, w: int) -> tuple:
-        ct, ist = math.cos(self.theta), 1j * math.sin(self.theta)
-        a, b = self.path_a * w, self.path_b * w
-        rows = ((a, a, ct, b, ist), (b, b, ct, a, ist))
-        if w == 2:
-            rows += ((a + 1, a + 1, ct, b + 1, ist), (b + 1, b + 1, ct, a + 1, ist))
-        return rows
 
     def to_doc(self) -> dict:
         return {"type": self.tag, "paths": [self.path_a, self.path_b], "theta": self.theta}
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> BeamSplitter:
-        return cls(*_doc_pair(doc["paths"]), _doc_angle(doc["theta"], "theta"))
 
 
 @dataclass(frozen=True)
@@ -244,35 +194,8 @@ class PhaseShifter:
 
     tag = "ps"
 
-    @property
-    def glyph(self) -> str:
-        return {POL_H: "φh", POL_V: "φv"}.get(self.pol_filter, "φ")
-
-    def footprint(self, space: ModeSpace) -> tuple[int, ...]:
-        modes, pol = space.path_modes(self.path), self.pol_filter
-        if pol not in _POL_FILTERS:
-            raise NetlistError(f"bad pol filter {pol!r}")
-        if pol != POL_BOTH and not space.uses_pol:
-            raise NetlistError("pol-filtered phase shifter needs a polarized space")
-        _check_angle(self.phi, "phase shift")
-        if pol == POL_BOTH:
-            return modes
-        return (modes[1] if pol == POL_V else modes[0],)
-
-    def rows(self, w: int) -> tuple:
-        m, factor = self.path * w, cmath.exp(1j * self.phi)
-        if self.pol_filter == POL_BOTH and w == 2:
-            return ((m, m, factor, m, 0.0), (m + 1, m + 1, factor, m + 1, 0.0))
-        m += self.pol_filter == POL_V
-        return ((m, m, factor, m, 0.0),)
-
     def to_doc(self) -> dict:
         return {"type": self.tag, "path": self.path, "pol": self.pol_filter, "phi": self.phi}
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> PhaseShifter:
-        return cls(_doc_typed(doc["path"], int, "path"), _doc_angle(doc["phi"], "phi"),
-                   _doc_typed(doc["pol"], str, "pol"))
 
 
 @dataclass(frozen=True)
@@ -280,23 +203,9 @@ class Rotator:
     path: int
 
     tag = "rot"
-    glyph = "R"
-
-    def footprint(self, space: ModeSpace) -> tuple[int, ...]:
-        if not space.uses_pol:
-            raise NetlistError("rotator needs a polarized space")
-        return space.path_modes(self.path)
-
-    def rows(self, w: int) -> tuple:
-        h, v = self.path * 2, self.path * 2 + 1
-        return ((h, v, 1.0, v, 0.0), (v, h, 1.0, h, 0.0))
 
     def to_doc(self) -> dict:
         return {"type": self.tag, "path": self.path}
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> Rotator:
-        return cls(_doc_typed(doc["path"], int, "path"))
 
 
 @dataclass(frozen=True)
@@ -305,23 +214,9 @@ class PolarizingBeamSplitter:
     path_b: int
 
     tag = "pbs"
-    glyph = "PBS"
-
-    def footprint(self, space: ModeSpace) -> tuple[int, ...]:
-        if not space.uses_pol:
-            raise NetlistError("polarizing beam splitter needs a polarized space")
-        return _pair_modes(space, self.path_a, self.path_b, "polarizing beam splitter")
-
-    def rows(self, w: int) -> tuple:
-        va, vb = self.path_a * 2 + 1, self.path_b * 2 + 1
-        return ((va, vb, 1j, vb, 0.0), (vb, va, 1j, va, 0.0))
 
     def to_doc(self) -> dict:
         return {"type": self.tag, "paths": [self.path_a, self.path_b]}
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> PolarizingBeamSplitter:
-        return cls(*_doc_pair(doc["paths"]))
 
 
 @dataclass(frozen=True)
@@ -329,52 +224,204 @@ class Crossing:
     path_map: tuple[int, ...]
 
     tag = "perm"
-    glyph = "✕"
 
     def __post_init__(self):
         object.__setattr__(self, "path_map", tuple(self.path_map))
 
-    def footprint(self, space: ModeSpace) -> tuple[int, ...]:
-        _check_permutation(self.path_map, space, "crossing map")
-        moved = (space.path_modes(s) for s, d in enumerate(self.path_map) if s != d)
-        return tuple(m for modes in moved for m in modes)
-
-    def rows(self, w: int) -> list:
-        moved = [(s, d) for s, d in enumerate(self.path_map) if s != d]
-        return [(d * w + k, s * w + k, 1.0, s * w + k, 0.0) for s, d in moved for k in range(w)]
-
     def to_doc(self) -> dict:
         return {"type": self.tag, "map": list(self.path_map)}
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> Crossing:
-        path_map = _doc_typed(doc["map"], list, "crossing map")
-        return cls(tuple(_doc_typed(p, int, "crossing map entry") for p in path_map))
 
 
 OpticalElement = Union[BeamSplitter, PhaseShifter, Rotator, PolarizingBeamSplitter, Crossing]
 ELEMENT_KINDS = (BeamSplitter, PhaseShifter, Rotator, PolarizingBeamSplitter, Crossing)
+BS, PS, ROT, PBS, PERM = range(len(ELEMENT_KINDS))  # the codes of the kind column
+POL_CODE_BOTH = _POL_FILTERS.index(POL_BOTH)
+_POL_CODE = {pol: code for code, pol in enumerate(_POL_FILTERS)}
+_KIND_CODE = {kind: code for code, kind in enumerate(ELEMENT_KINDS)}
+_TAG_CODE = {kind.tag: code for code, kind in enumerate(ELEMENT_KINDS)}
+# The column each field of a kind fills, in dataclass field order, and the
+# keys of its JSON document holding those fields ("paths" holds a and b).
+_FIELD_COLUMNS = (("a", "b", "angle"), ("a", "angle", "pol"), ("a",), ("a", "b"), ("map",))
+_DOC_KEYS = (("paths", "theta"), ("path", "phi", "pol"), ("path",), ("paths",), ("map",))
 
 
-def _footprint(element: OpticalElement, space: ModeSpace) -> tuple[int, ...]:
-    if not isinstance(element, ELEMENT_KINDS):
-        raise NetlistError(f"unknown element {element!r}")
-    return element.footprint(space)
+class ElementTable(NamedTuple):
+    """A netlist's elements, one row each in netlist order (module docstring)."""
+
+    kind: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    angle: np.ndarray
+    pol: np.ndarray
+    offsets: np.ndarray
+    maps: tuple[np.ndarray, ...]
+
+
+def _int_column(values: list, from_json: bool, what: str = "path") -> np.ndarray:
+    if set(map(type, values)) - {int}:  # a bool or float is refused, never truncated
+        bad = next(v for v in values if type(v) is not int)
+        if from_json:
+            raise NetlistFormatError(f"{what} must be a JSON int, got {bad!r}")
+        raise NetlistError(f"{what} {bad!r} is not an int")
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise NetlistError(f"{what} out of range") from None
+
+
+def _angle_column(values: list, from_json: bool) -> np.ndarray:
+    for value in values if set(map(type, values)) - {float, int} else ():
+        if type(value) is bool or not math.isfinite(value):  # JSON would write a bool as true
+            raise NetlistError(f"angle must be a finite number, got {value!r}")
+    return np.array(values, dtype=np.float64)
+
+
+def _pol_column(values: list, from_json: bool) -> np.ndarray:
+    codes = [_POL_CODE.get(v) if isinstance(v, str) else None for v in values]
+    if None in codes:
+        raise NetlistError(f"bad pol filter {values[codes.index(None)]!r}")
+    return np.array(codes, dtype=np.int8)
+
+
+_PARSE = {"a": _int_column, "b": _int_column, "angle": _angle_column, "pol": _pol_column}
+
+
+def _pack(codes: list[int], items: list, counts: list[int], field_values,
+          from_json: bool = False) -> ElementTable:
+    """The table of items of these kind codes, counts[i] of them in layer i;
+    field_values(code, items) lists the values of each field of the kind."""
+    kind = np.array(codes, dtype=np.int8)
+    n = len(codes)
+    columns = {"a": np.zeros(n, np.int64), "b": np.zeros(n, np.int64), "angle": np.zeros(n),
+               "pol": np.full(n, POL_CODE_BOTH, np.int8)}
+    maps: list[np.ndarray] = []
+    for code, names in enumerate(_FIELD_COLUMNS):
+        rows = np.flatnonzero(kind == code)
+        group = list(map(items.__getitem__, rows.tolist()))
+        for name, values in zip(names, field_values(code, group)):
+            if name == "map":
+                maps = [_int_column(list(m), from_json, "crossing map entry") for m in values]
+                columns["a"][rows] = np.arange(len(maps))
+            else:
+                columns[name][rows] = _PARSE[name](values, from_json)
+    offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    return ElementTable(kind, *columns.values(), offsets, tuple(maps))
+
+
+def _element_fields(code: int, elements: list) -> list[list]:
+    return [list(map(attrgetter(f.name), elements)) for f in fields(ELEMENT_KINDS[code])]
+
+
+def _doc_fields(code: int, docs: list) -> list[list]:
+    values = []
+    for key in _DOC_KEYS[code]:
+        column = list(map(itemgetter(key), docs))
+        if key != "paths":
+            values.append(column)
+        elif set(map(len, column)) - {2}:
+            bad = next(p for p in column if len(p) != 2)
+            raise NetlistFormatError(f"paths must list exactly two paths, got {bad!r}")
+        else:
+            values += [list(map(itemgetter(0), column)), list(map(itemgetter(1), column))]
+    return values
+
+
+def _check_permutation(path_map: np.ndarray, n_paths: int, name: str) -> None:
+    inside = path_map[(path_map >= 0) & (path_map < n_paths)]
+    seen = np.zeros(n_paths, bool)
+    seen[inside] = True
+    if len(path_map) != n_paths or len(inside) != n_paths or not seen.all():
+        raise NetlistError(f"{name} must permute all path indices")
+
+
+def _footprint(table: ElementTable, space: ModeSpace) -> tuple[np.ndarray, np.ndarray]:
+    """(row, mode) of every mode each element occupies, unordered."""
+    w = 2 if space.uses_pol else 1
+    kind, pol = table.kind, table.pol
+    rows, modes = [], []
+    for path, acts in ((table.a, kind != PERM), (table.b, (kind == BS) | (kind == PBS))):
+        for k in range(w):  # every mode of the path, or the one an H/V filter picks
+            r = np.flatnonzero(acts & ((pol == POL_CODE_BOTH) | (pol == k)))
+            rows.append(r)
+            modes.append(path[r] * w + k)
+    for r in np.flatnonzero(kind == PERM).tolist():
+        path_map = table.maps[table.a[r]]
+        moved = np.flatnonzero(path_map != np.arange(len(path_map)))
+        rows += [np.full(len(moved), r)] * w
+        modes += [moved * w + k for k in range(w)]
+    return np.concatenate(rows), np.concatenate(modes)
+
+
+def _row_layers(offsets: np.ndarray) -> np.ndarray:
+    return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+
+
+def _check(space: ModeSpace, table: ElementTable) -> None:
+    """Every rule of the module docstring, on the whole table at once."""
+    n, kind = space.n_paths, table.kind
+    paired = (kind == BS) | (kind == PBS)
+    for column, acts in ((table.a, kind != PERM), (table.b, paired)):
+        bad = acts & ((column < 0) | (column >= n))
+        if bad.any():
+            raise NetlistError(f"path {column[bad][0]} out of range for {n} path(s)")
+    if (paired & (table.a == table.b)).any():
+        raise NetlistError("a beam splitter needs two distinct paths")
+    if not space.uses_pol and ((kind == ROT) | (kind == PBS) | (table.pol != POL_CODE_BOTH)).any():
+        raise NetlistError("rotators, PBSs and H/V filters need a polarized space")
+    finite = np.isfinite(table.angle)
+    if not finite.all():
+        raise NetlistError(f"angle must be a finite number, got {table.angle[~finite][0]}")
+    for path_map in table.maps:
+        _check_permutation(path_map, n, "crossing map")
+    rows, modes = _footprint(table, space)
+    keys = np.sort(_row_layers(table.offsets)[rows] * space.dim + modes, kind="stable")
+    if (keys[1:] == keys[:-1]).any():
+        raise NetlistError("elements within a layer must act on disjoint modes")
+
+
+def _netlist(space: ModeSpace, table: ElementTable, source_gates: Sequence[str] = (),
+             output_relabel: Sequence[int] | None = None, net: OpticalNetlist | None = None):
+    """The netlist of a table, checked: the one way every netlist is made."""
+    net = object.__new__(OpticalNetlist) if net is None else net
+    n_layers = len(table.offsets) - 1
+    source_gates = tuple(source_gates) or ("",) * n_layers
+    if len(source_gates) != n_layers:
+        raise NetlistError("source_gates must annotate each layer")
+    _check(space, table)
+    if output_relabel is not None:
+        output_relabel = tuple(output_relabel)
+        relabel = _int_column(list(output_relabel), False, "output relabeling entry")
+        _check_permutation(relabel, space.n_paths, "output relabeling")
+    for array in (*table[:6], *table.maps):
+        array.flags.writeable = False
+    vars(net).update(space=space, table=table, source_gates=source_gates,
+                     output_relabel=output_relabel)
+    return net
+
+
+def netlist_from_docs(space: ModeSpace, layer_docs: list, source_gates: Sequence[str] = (),
+                      output_relabel: Sequence[int] | None = None) -> OpticalNetlist:
+    """The netlist of decoded JSON layers of element documents (to_doc()
+    form), decoded into the table with no element object: a field of the
+    wrong JSON type raises NetlistFormatError, the rest NetlistError."""
+    docs = list(chain.from_iterable(layer_docs))
+    codes = list(map(_TAG_CODE.get, map(itemgetter("type"), docs)))
+    if None in codes:
+        raise NetlistFormatError(f"unknown element type {docs[codes.index(None)].get('type')!r}")
+    table = _pack(codes, docs, list(map(len, layer_docs)), _doc_fields, from_json=True)
+    return _netlist(space, table, source_gates, output_relabel)
 
 
 def element_modes(element: OpticalElement, space: ModeSpace) -> frozenset[int]:
     """The modes an element occupies (its full device footprint); raises
     NetlistError if the element does not fit the space."""
-    return frozenset(_footprint(element, space))
+    return frozenset(OpticalNetlist(space, ((element,),)).footprints()[2].tolist())
 
 
 def element_unitary(element: OpticalElement, space: ModeSpace) -> np.ndarray:
     """Dense unitary of one element on the full mode space: its layer
     kernel applied to the identity."""
-    _footprint(element, space)
-    u = np.eye(space.dim, dtype=complex)
-    _apply_layer(u, (element,), space)
-    return u
+    return _stream(np.eye(space.dim, dtype=complex), OpticalNetlist(space, ((element,),)))
 
 
 @dataclass(eq=False)
@@ -409,9 +456,9 @@ class ModeAmplitudes:
 Layer = tuple[OpticalElement, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class OpticalNetlist:
-    """Layered element list over one mode space.
+    """Layered elements over one mode space, packed once into an ElementTable.
 
     source_gates holds one annotation string per layer (which gate produced
     it); output_relabel, when set, renames output path p to
@@ -419,58 +466,118 @@ class OpticalNetlist:
     """
 
     space: ModeSpace
-    layers: tuple[Layer, ...]
-    source_gates: tuple[str, ...] = ()
-    output_relabel: tuple[int, ...] | None = None
+    table: ElementTable
+    source_gates: tuple[str, ...]
+    output_relabel: tuple[int, ...] | None
 
-    def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(tuple(layer) for layer in self.layers))
-        if not self.source_gates:
-            object.__setattr__(self, "source_gates", ("",) * len(self.layers))
-        else:
-            object.__setattr__(self, "source_gates", tuple(self.source_gates))
-        if len(self.source_gates) != len(self.layers):
-            raise NetlistError("source_gates must annotate each layer")
-        space = self.space
-        for layer in self.layers:
-            used: list[int] = []
-            for element in layer:
-                used += _footprint(element, space)
-            if len(set(used)) != len(used):
-                raise NetlistError("elements within a layer must act on disjoint modes")
-        if self.output_relabel is not None:
-            object.__setattr__(self, "output_relabel", tuple(self.output_relabel))
-            _check_permutation(self.output_relabel, self.space, "output relabeling")
+    def __init__(self, space: ModeSpace, layers: Iterable[Iterable[OpticalElement]],
+                 source_gates: Sequence[str] = (), output_relabel: Sequence[int] | None = None):
+        layers = [tuple(layer) for layer in layers]
+        elements = list(chain.from_iterable(layers))
+        codes = list(map(_KIND_CODE.get, map(type, elements)))
+        if None in codes:  # a subclass of a kind, or no element at all
+            codes = [next((c for c, k in enumerate(ELEMENT_KINDS) if isinstance(e, k)), None)
+                     for e in elements]
+        if None in codes:
+            raise NetlistError(f"unknown element {elements[codes.index(None)]!r}")
+        table = _pack(codes, elements, list(map(len, layers)), _element_fields)
+        _netlist(space, table, source_gates, output_relabel, self)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, OpticalNetlist):
+            return NotImplemented
+        # Equal kind columns hold as many crossings, so as many maps.
+        return (self.space, self.source_gates, self.output_relabel) == (
+            other.space, other.source_gates, other.output_relabel) and all(map(
+                np.array_equal, (*self.table[:6], *self.table.maps),
+                (*other.table[:6], *other.table.maps)))
 
     @property
     def n_elements(self) -> int:
-        return sum(len(layer) for layer in self.layers)
+        return len(self.table.kind)
+
+    @property
+    def n_layers(self) -> int:
+        return len(self.table.offsets) - 1
+
+    @property
+    def layers(self) -> tuple[Layer, ...]:
+        """The layers as element objects, built from the table on each call."""
+        elements = tuple(self.elements())
+        bounds = self.table.offsets.tolist()
+        return tuple(elements[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
 
     def elements(self) -> Iterable[OpticalElement]:
-        for layer in self.layers:
-            yield from layer
+        t = self.table
+        values = {"a": t.a.tolist(), "b": t.b.tolist(), "angle": t.angle.tolist(),
+                  "pol": [_POL_FILTERS[pol] for pol in t.pol.tolist()]}
+        values["map"] = [tuple(t.maps[a].tolist()) if kind == PERM else None
+                         for kind, a in zip(t.kind.tolist(), values["a"])]
+        for row, kind in enumerate(t.kind.tolist()):
+            yield ELEMENT_KINDS[kind](*(values[name][row] for name in _FIELD_COLUMNS[kind]))
+
+    def footprints(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(layer, row, mode) of every mode each element occupies, by row then mode."""
+        rows, modes = _footprint(self.table, self.space)
+        keys = np.sort(rows * self.space.dim + modes, kind="stable")
+        rows, modes = np.divmod(keys, self.space.dim)
+        return _row_layers(self.table.offsets)[rows], rows, modes
+
+    def subset(self, keep: np.ndarray) -> OpticalNetlist:
+        """The netlist of the rows where keep is true; layers left empty are
+        dropped with their annotations."""
+        t = self.table
+        counts = np.bincount(_row_layers(t.offsets)[keep], minlength=self.n_layers)
+        kept_maps = t.a[keep & (t.kind == PERM)]
+        a = t.a[keep]
+        a[t.kind[keep] == PERM] = np.arange(len(kept_maps))
+        table = ElementTable(t.kind[keep], a, t.b[keep], t.angle[keep], t.pol[keep],
+                             np.concatenate(([0], np.cumsum(counts[counts > 0]))),
+                             tuple(t.maps[i] for i in kept_maps.tolist()))
+        notes = [note for note, count in zip(self.source_gates, counts.tolist()) if count]
+        return _netlist(self.space, table, notes, self.output_relabel)
 
 
-_ROW_DTYPES = (np.intp, np.intp, complex, np.intp, complex)
-
-
-def _apply_layer(x: np.ndarray, layer: Iterable[OpticalElement], space: ModeSpace) -> None:
-    """Apply one layer in place to a mode vector or the rows of a (dim, k) block."""
-    w = 2 if space.uses_pol else 1
-    rows = [row for e in layer for row in e.rows(w)]
-    if not rows:
-        return
-    t, s0, c0, s1, c1 = (np.array(col, dtype) for col, dtype in zip(zip(*rows), _ROW_DTYPES))
-    if x.ndim == 2:
-        c0, c1 = c0[:, None], c1[:, None]
-    x[t] = c0 * x[s0] + c1 * x[s1]
+def _kernel_rows(netlist: OpticalNetlist) -> tuple[np.ndarray, ...]:
+    """The gather rows (row, t, s0, c0, s1, c1) of every element, by row: one
+    per footprint mode t, reading t and the partner mode p the element
+    couples into it. A splitter mixes the two (c0 = cos, c1 = i sin), a
+    shifter scales t, and a rotator, a crossing and a PBS on its V modes move
+    p to t, the PBS with phase i."""
+    table, w = netlist.table, 2 if netlist.space.uses_pol else 1
+    _, row, t = netlist.footprints()
+    kind, angle = table.kind[row], table.angle[row]
+    path, k = t // w, t % w
+    splitter = kind == BS
+    # The same pol on the other path of a pair, the other pol of a rotator's path.
+    p = np.where(splitter | (kind == PBS), (table.a[row] + table.b[row] - path) * w + k,
+                 np.where(kind == ROT, t ^ 1, t))
+    for r in np.flatnonzero(table.kind == PERM).tolist():  # moves map.index(d) to d
+        lo, hi = np.searchsorted(row, (r, r + 1))
+        p[lo:hi] = np.argsort(table.maps[table.a[r]])[path[lo:hi]] * w + k[lo:hi]
+    moves = (kind == ROT) | (kind == PERM) | ((kind == PBS) & (k == 1))
+    s0 = np.where(moves, p, t)
+    c0 = np.where(splitter, np.cos(angle), np.where(moves & (kind == PBS), 1j, 1.0))
+    c0[kind == PS] = np.cos(angle[kind == PS]) + 1j * np.sin(angle[kind == PS])
+    c1 = np.where(splitter, 1j * np.sin(angle), 0)
+    return row, t, s0, c0, np.where(splitter, p, s0), c1
 
 
 def _stream(x: np.ndarray, netlist: OpticalNetlist) -> np.ndarray:
-    for layer in netlist.layers:
-        _apply_layer(x, layer, netlist.space)
+    """Apply every layer, one slice of the gather rows each, then the output
+    relabeling, in place to a mode vector or the rows of a (dim, k) block."""
+    space = netlist.space
+    row, t, s0, c0, s1, c1 = _kernel_rows(netlist)
+    if x.ndim == 2:
+        c0, c1 = c0[:, None], c1[:, None]
+    bounds = np.searchsorted(row, netlist.table.offsets).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        if lo < hi:
+            x[t[lo:hi]] = c0[lo:hi] * x[s0[lo:hi]] + c1[lo:hi] * x[s1[lo:hi]]
     if netlist.output_relabel is not None:
-        _apply_layer(x, (Crossing(netlist.output_relabel),), netlist.space)
+        w = 2 if space.uses_pol else 1
+        relabeled = np.repeat(netlist.output_relabel, w) * w + np.tile(np.arange(w), space.n_paths)
+        x[relabeled] = x.copy()
     return x
 
 

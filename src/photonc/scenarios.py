@@ -90,7 +90,7 @@ class ScenarioReport:
         lines = [
             f"scenario: {self.name}",
             f"circuit: {len(self.circuit.gates)} gate(s) on {self.circuit.n_qubits} qubit(s)",
-            f"netlist: {len(self.netlist.layers)} layer(s), "
+            f"netlist: {self.netlist.n_layers} layer(s), "
             f"{stats.splitting_elements} splitting / {self.netlist.n_elements} total element(s) "
             f"on {space.dim} mode(s)",
             f"input: photon in mode {self.input_mode} ({space.mode_label(self.input_mode)})",

@@ -4,6 +4,7 @@ from importlib import resources
 import pytest
 
 from photonc.cli import main
+from photonc.optics import ELEMENT_KINDS
 
 TELEPORT_TEXT = (
     resources.files("photonc").joinpath("circuits/teleport.qc").read_text(encoding="utf-8")
@@ -232,6 +233,52 @@ class TestDiagram:
         out = capsys.readouterr().out
         assert out.count("\n") == 8
         assert "PBS" in out
+
+    @pytest.mark.parametrize("layers", [[[{"type": "perm", "map": [0, 1]}]], [[]]],
+                             ids=["identity-crossing", "empty-layer"])
+    def test_layer_without_marks_is_a_plain_rail_column(self, tmp_path, capsys, layers):
+        # Both netlists are valid; the diagram used to end in an IndexError
+        # traceback (exit 1) and in "max() arg is an empty sequence" (exit 3).
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps({"version": 1, "n_loc": 1, "uses_pol": False, "layers": layers}),
+                       encoding="utf-8")
+        assert main(["stats", str(net)]) == 0
+        capsys.readouterr()
+        assert main(["diagram", str(net)]) == 0
+        assert capsys.readouterr().out == "0 ─── 0\n1 ─── 1\n"
+
+    def test_identity_crossing_beside_a_splitter_draws_nothing(self, tmp_path, capsys):
+        net = tmp_path / "net.json"
+        layers = [[{"type": "bs", "paths": [0, 1], "theta": 0.5}],
+                  [{"type": "perm", "map": [0, 1]}]]
+        net.write_text(json.dumps({"version": 1, "n_loc": 1, "uses_pol": False, "layers": layers}),
+                       encoding="utf-8")
+        assert main(["diagram", str(net)]) == 0
+        assert capsys.readouterr().out == "0 ─BS──── 0\n1 ─┆───── 1\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-relabel"]], ids=["relabel", "crossing"])
+def test_readers_build_no_element_objects(teleport_qc, tmp_path, monkeypatch, capsys, flags):
+    # stats, run, diagram and verify read the netlist's element table; only
+    # lowering and the library's net.layers build element objects.
+    net = str(tmp_path / "net.json")
+    assert main(["compile", teleport_qc, "-o", net, *flags]) == 0
+    commands = [["stats", net], ["run", net, "--input", "00,H"], ["diagram", net],
+                ["verify", teleport_qc, net]]
+    expected = []
+    for argv in commands:
+        capsys.readouterr()
+        assert main(argv) == 0
+        expected.append(capsys.readouterr().out)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"a {type(self).__name__} was built")
+
+    for kind in ELEMENT_KINDS:
+        monkeypatch.setattr(kind, "__init__", refuse)
+    for argv, out in zip(commands, expected):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
 
 
 class TestDemo:

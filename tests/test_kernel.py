@@ -1,7 +1,8 @@
 """Properties of the layer kernel behind propagate, netlist_unitary and
-element_unitary, of the per-kind element classes, and of the netlist JSON
-writer against json.dumps, on random layered netlists; and of element and
-layer validation against a brute-force reference, on layers that may be
+element_unitary, of the element table and its element views, of pruning,
+and of the netlist JSON writer against json.dumps, on random layered
+netlists; and of element and layer validation, by the constructor and by
+the JSON loader, against a brute-force reference, on layers that may be
 invalid."""
 
 import json
@@ -9,10 +10,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from photonc.compiler import device_stats, netlist_from_json, netlist_to_json
+from photonc.compiler import device_stats, netlist_from_json, netlist_to_json, prune_dead_paths
 from photonc.optics import (
     POL_BOTH,
     POL_H,
@@ -22,6 +23,7 @@ from photonc.optics import (
     ModeAmplitudes,
     ModeSpace,
     NetlistError,
+    NetlistFormatError,
     OpticalNetlist,
     PhaseShifter,
     PolarizingBeamSplitter,
@@ -31,6 +33,7 @@ from photonc.optics import (
     netlist_unitary,
     propagate,
 )
+from photonc.optics import _kernel_rows
 
 ANGLES = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
 
@@ -152,11 +155,32 @@ def test_json_matches_stdlib_encoder_on_edge_cases(net):
 def test_kernel_rows_stay_in_footprint(net):
     # What makes the in-place layer update safe: an element reads and
     # writes only its own modes, and the modes of a layer are disjoint.
-    w = 2 if net.space.uses_pol else 1
-    for element in net.elements():
-        footprint = element_modes(element, net.space)
-        for target, source0, _, source1, _ in element.rows(w):
-            assert {target, source0, source1} <= footprint
+    # Each row of the netlist's gather table names the element it belongs to.
+    footprints = [set(reference_footprint(e, net.space)) for e in net.elements()]
+    rows, targets, sources0, _, sources1, _ = _kernel_rows(net)
+    for row, target, source0, source1 in zip(rows, targets, sources0, sources1):
+        assert {target, source0, source1} <= footprints[row]
+
+
+@settings(max_examples=100, deadline=None)
+@given(netlists())
+def test_constructor_repacks_its_element_views(net):
+    assert OpticalNetlist(net.space, net.layers, net.source_gates, net.output_relabel) == net
+
+
+@settings(max_examples=200, deadline=None)
+@given(netlists(), st.data())
+def test_pruning_keeps_every_input_on_its_support(net, data):
+    # A random vector on a random set of modes, not one basis mode: pruning
+    # must keep every element that any of them can reach.
+    dim = net.space.dim
+    support = sorted(data.draw(st.sets(st.integers(0, dim - 1), min_size=1)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    vec = np.zeros(dim, dtype=complex)
+    vec[support] = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
+    full = propagate(net, ModeAmplitudes(net.space, vec)).amplitudes
+    pruned = propagate(prune_dead_paths(net, support), ModeAmplitudes(net.space, vec)).amplitudes
+    assert np.max(np.abs(full - pruned)) < 1e-12
 
 
 @settings(max_examples=100, deadline=None)
@@ -297,6 +321,33 @@ def test_validation_matches_brute_force_reference(data):
     else:
         with pytest.raises(NetlistError):
             OpticalNetlist(space, layers)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_loader_validation_matches_brute_force_reference(data):
+    # The same loose layers as JSON text, so NaN, bools and float paths
+    # reach the loader, which decodes them without element objects.
+    space = ModeSpace(data.draw(st.integers(0, 3)), data.draw(st.booleans()))
+    layers = data.draw(loose_layers(space))
+    doc = {"version": 1, "n_loc": space.n_loc, "uses_pol": space.uses_pol,
+           "layers": [[e.to_doc() for e in layer] for layer in layers]}
+    try:
+        text = json.dumps(doc)
+    except TypeError:  # a NumPy int, which JSON cannot hold
+        assume(False)
+    footprints = [[reference_footprint(e, space) for e in layer] for layer in layers]
+    valid = all(
+        modes is not None for prints in footprints for modes in prints
+    ) and not any(
+        set(a) & set(b) for prints in footprints
+        for i, a in enumerate(prints) for b in prints[i + 1:]
+    )
+    if valid:
+        assert netlist_from_json(text) == OpticalNetlist(space, layers)
+    else:
+        with pytest.raises(NetlistFormatError):
+            netlist_from_json(text)
 
 
 def test_mixed_polarized_layer_against_hand_matrix():
