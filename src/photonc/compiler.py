@@ -23,9 +23,12 @@ qubit may ride on polarization instead. A gate therefore becomes:
 
 Every lowering above is exact (equal to the embedded gate unitary, global
 phase included), so a compiled netlist matches its circuit to float
-precision. Two cleanups run afterwards: adjacent identical rotators from
-consecutive CNOTs cancel in pairs, and trailing crossings can be turned
-into an output-port relabeling.
+precision. Each stage is emitted as column layers (Column: one element kind
+on a masked path array, like one column of a Reck or Clements mesh), so a
+gate costs a few array operations, not an object per path. Adjacent rotator
+layers merge to their symmetric difference, trailing crossings can become an
+output-port relabeling, and the columns form one checked ElementTable;
+lower_gate and prepare_* return element views of the same columns.
 """
 
 from __future__ import annotations
@@ -46,12 +49,13 @@ from .optics import (
     ELEMENT_KINDS,
     PBS,
     PERM,
-    POL_BOTH,
+    POL_CODE_BOTH,
     POL_V,
     PS,
     ROT,
     BeamSplitter,
     Crossing,
+    ElementTable,
     ModeSpace,
     NetlistFormatError,
     OpticalElement,
@@ -61,6 +65,7 @@ from .optics import (
     Rotator,
     SpaceTooLargeError,
     _POL_FILTERS,
+    _netlist,
     netlist_from_docs,
 )
 
@@ -176,6 +181,7 @@ class U2Decomposition(NamedTuple):
 
 _ZERO_ANGLE = 1e-15
 _DEGENERATE = 1e-12
+_V = _POL_FILTERS.index(POL_V)  # the pol code of a V filter
 
 
 def _wrap(angle: float) -> float:
@@ -197,13 +203,14 @@ def decompose_u2(u: np.ndarray) -> U2Decomposition:
     a00, a01, a10, a11 = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
     cos_part = (abs(a00) + abs(a11)) / 2.0
     sin_part = (abs(a01) + abs(a10)) / 2.0
-    theta = math.atan2(sin_part, cos_part)
+    # Below the bound the small pair is dropped (theta 0 or pi/2), phases and all.
     if sin_part < _DEGENERATE:
-        return U2Decomposition(0.0, 0.0, theta, _wrap(cmath.phase(a00)), _wrap(cmath.phase(a11)))
+        return U2Decomposition(0.0, 0.0, 0.0, _wrap(cmath.phase(a00)), _wrap(cmath.phase(a11)))
     if cos_part < _DEGENERATE:
         out_a = _wrap(cmath.phase(a01) - math.pi / 2)
         out_b = _wrap(cmath.phase(a10) - math.pi / 2)
-        return U2Decomposition(0.0, 0.0, theta, out_a, out_b)
+        return U2Decomposition(0.0, 0.0, math.pi / 2, out_a, out_b)
+    theta = math.atan2(sin_part, cos_part)
     out_a = cmath.phase(a00)
     out_b = cmath.phase(a10) - math.pi / 2
     in_b = cmath.phase(a01) - math.pi / 2 - out_a
@@ -219,109 +226,129 @@ def reconstruct_u2(dec: U2Decomposition) -> np.ndarray:
     return d_out @ splitter @ d_in
 
 
-def _zero_angle(angle: float) -> bool:
-    return abs(angle) < _ZERO_ANGLE
+class Column(NamedTuple):
+    """One lowered layer, of one element kind and pol code: each row's path a;
+    b (a pair's other path) and angle, shared or one per row; and a crossing's
+    path_map (a crossing is one row, its a a placeholder)."""
+
+    kind: int
+    a: np.ndarray
+    b: int | np.ndarray = 0
+    angle: float | np.ndarray = 0.0
+    pol: int = POL_CODE_BOTH
+    path_map: np.ndarray | None = None
 
 
-def _u2_assembly(
-    parts: Iterable[tuple[U2Decomposition, int, int]]
-) -> list[list[OpticalElement]]:
-    """Phase-in, splitter, phase-out layers realizing each (dec, p0, p1) on
-    its path pair; the pairs must be disjoint."""
-    pre: list[OpticalElement] = []
-    mid: list[OpticalElement] = []
-    post: list[OpticalElement] = []
-    for dec, p0, p1 in parts:
-        pre += [PhaseShifter(p, phi) for p, phi in ((p0, dec.phi_in_a), (p1, dec.phi_in_b))
-                if not _zero_angle(phi)]
-        if not _zero_angle(dec.theta):
-            mid.append(BeamSplitter(p0, p1, dec.theta))
-        post += [PhaseShifter(p, phi) for p, phi in ((p0, dec.phi_out_a), (p1, dec.phi_out_b))
-                 if not _zero_angle(phi)]
-    return [layer for layer in (pre, mid, post) if layer]
+def _column_table(layers: Sequence[Column]) -> ElementTable:
+    """The element table of column layers in order; a crossing's a indexes its map."""
+    counts = np.array([len(layer.a) for layer in layers], dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    kind = np.repeat(np.array([layer.kind for layer in layers], np.int8), counts)
+    pol = np.repeat(np.array([layer.pol for layer in layers], np.int8), counts)
+    a = np.concatenate([np.zeros(0, np.int64), *(layer.a for layer in layers)])
+    b, angle = np.zeros(len(a), np.int64), np.zeros(len(a))
+    bounds = offsets.tolist()
+    for layer, lo, hi in zip(layers, bounds, bounds[1:]):
+        b[lo:hi], angle[lo:hi] = layer.b, layer.angle
+    maps = tuple(layer.path_map for layer in layers if layer.kind == PERM)
+    a[kind == PERM] = np.arange(len(maps))
+    return ElementTable(kind, a, b, angle, pol, offsets, maps)
 
 
-def _control_mask(assignment: QubitAssignment, controls: Sequence[int]) -> int:
-    """Path bits that must all be 1 for the controls to be satisfied."""
-    mask = 0
-    for control in controls:
-        mask |= assignment.path_delta(control)
-    return mask
+def _element_layers(layers: Sequence[Column], space: ModeSpace) -> list[list[OpticalElement]]:
+    """Column layers as element objects, the library's form of a lowering."""
+    return [list(layer) for layer in _netlist(space, _column_table(layers)).layers]
 
 
-def _control_paths(assignment: QubitAssignment, controls: Sequence[int]) -> list[int]:
-    mask = _control_mask(assignment, controls)
-    return [p for p in range(1 << assignment.n_loc) if p & mask == mask]
+def _u2_assembly(dec: U2Decomposition, p0: np.ndarray, p1: np.ndarray) -> list[Column]:
+    """Phase-in, splitter, phase-out layers realizing dec on each (p0, p1)
+    path pair; the pairs must be disjoint, and each angle of dec is a scalar
+    or one per pair."""
+    paths = np.column_stack((p0, p1)).ravel()
+
+    def shifters(phi_a, phi_b) -> Column:
+        angle = np.empty(len(paths))
+        angle[0::2], angle[1::2] = phi_a, phi_b
+        keep = np.abs(angle) >= _ZERO_ANGLE
+        return Column(PS, paths[keep], angle=angle[keep])
+
+    theta = np.full(len(p0), dec.theta)
+    keep = np.abs(theta) >= _ZERO_ANGLE
+    layers = (shifters(dec.phi_in_a, dec.phi_in_b), Column(BS, p0[keep], p1[keep], theta[keep]),
+              shifters(dec.phi_out_a, dec.phi_out_b))
+    return [layer for layer in layers if len(layer.a)]
+
+
+def _controlled(
+    assignment: QubitAssignment, controls: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every path, and whether it has all the control bits 1."""
+    mask = sum(map(assignment.path_delta, controls))  # distinct operands, distinct bits
+    paths = np.arange(1 << assignment.n_loc, dtype=np.int64)
+    return paths, paths & mask == mask
+
+
+def _control_paths(assignment: QubitAssignment, controls: Sequence[int]) -> np.ndarray:
+    paths, on = _controlled(assignment, controls)
+    return paths[on]
 
 
 def _bit_pairs(
     assignment: QubitAssignment, target: int, controls: Sequence[int]
-) -> list[tuple[int, int]]:
-    # Target bit 0 and every control bit 1, in one test.
+) -> tuple[np.ndarray, np.ndarray]:
+    # (target bit 0, target bit 1) on every control-satisfying path pair.
     delta = assignment.path_delta(target)
-    mask = _control_mask(assignment, controls)
-    need = mask | delta
-    return [(p, p | delta) for p in range(1 << assignment.n_loc) if p & need == mask]
+    paths, on = _controlled(assignment, controls)
+    p0 = paths[on & (paths & delta == 0)]
+    return p0, p0 | delta
 
 
-def _rotator_stage(
-    assignment: QubitAssignment, controls: Sequence[int]
-) -> list[list[OpticalElement]]:
+def _rotator_stage(assignment: QubitAssignment, controls: Sequence[int]) -> list[Column]:
     # Polarization flip on every path satisfying the location controls.
-    return [[Rotator(p) for p in _control_paths(assignment, controls)]]
+    return [Column(ROT, _control_paths(assignment, controls))]
 
 
 def _pbs_stage(
     assignment: QubitAssignment, target: int, controls: Sequence[int]
-) -> list[list[OpticalElement]]:
+) -> list[Column]:
     # V-conditioned path-bit flip: a PBS reflects V with phase i, so a
     # -pi/2 V-filtered shifter on each touched path restores an exact CNOT.
-    pairs = _bit_pairs(assignment, target, controls)
-    splitters: list[OpticalElement] = [PolarizingBeamSplitter(p0, p1) for p0, p1 in pairs]
-    fixups: list[OpticalElement] = [
-        PhaseShifter(p, -math.pi / 2, POL_V) for pair in pairs for p in pair
-    ]
-    return [splitters, fixups]
+    p0, p1 = _bit_pairs(assignment, target, controls)
+    fixups = Column(PS, np.column_stack((p0, p1)).ravel(), angle=-math.pi / 2, pol=_V)
+    return [Column(PBS, p0, p1), fixups]
 
 
 def _phase_stage(
-    assignment: QubitAssignment, controls: Sequence[int], phi: float, pol_filter: str
-) -> list[list[OpticalElement]]:
-    if _zero_angle(_wrap(phi)):
+    assignment: QubitAssignment, controls: Sequence[int], phi: float, pol: int
+) -> list[Column]:
+    if abs(_wrap(phi)) < _ZERO_ANGLE:
         return []
-    layer: list[OpticalElement] = [
-        PhaseShifter(p, phi, pol_filter) for p in _control_paths(assignment, controls)
-    ]
-    return [layer]
+    return [Column(PS, _control_paths(assignment, controls), angle=phi, pol=pol)]
 
 
-def _crossing_stage(assignment: QubitAssignment, path_map: Sequence[int]) -> list[list[OpticalElement]]:
-    path_map = tuple(path_map)
-    if path_map == tuple(range(len(path_map))):
+def _crossing_stage(path_map: np.ndarray) -> list[Column]:
+    if (path_map == np.arange(len(path_map))).all():
         return []
-    return [[Crossing(path_map)]]
+    return [Column(PERM, np.zeros(1, np.int64), path_map=path_map)]
 
 
-def _flip_map(assignment: QubitAssignment, target: int, controls: Sequence[int]) -> tuple[int, ...]:
-    delta = assignment.path_delta(target)
-    mask = _control_mask(assignment, controls)
-    return tuple(p ^ delta if p & mask == mask else p for p in range(1 << assignment.n_loc))
+def _flip_map(assignment: QubitAssignment, target: int, controls: Sequence[int]) -> np.ndarray:
+    paths, on = _controlled(assignment, controls)
+    return np.where(on, paths ^ assignment.path_delta(target), paths)
 
 
 def _exchange_map(
     assignment: QubitAssignment, a: int, b: int, controls: Sequence[int]
-) -> tuple[int, ...]:
+) -> np.ndarray:
     da, db = assignment.path_delta(a), assignment.path_delta(b)
-    mask = _control_mask(assignment, controls)
-    return tuple(
-        p ^ da ^ db if p & mask == mask and bool(p & da) != bool(p & db) else p
-        for p in range(1 << assignment.n_loc)
-    )
+    paths, on = _controlled(assignment, controls)
+    moves = on & ((paths & da == 0) != (paths & db == 0))
+    return np.where(moves, paths ^ da ^ db, paths)
 
 
 def _swap_loc_pol_stage(
     assignment: QubitAssignment, loc: int, controls: Sequence[int]
-) -> list[list[OpticalElement]]:
+) -> list[Column]:
     # SWAP(loc, pol) = CX(loc->pol) CX(pol->loc) CX(loc->pol), all exact.
     flip_pol = _rotator_stage(assignment, (*controls, loc))
     flip_loc = _pbs_stage(assignment, loc, controls)
@@ -329,20 +356,19 @@ def _swap_loc_pol_stage(
 
 
 def _lower_1q_location(matrix: np.ndarray, qubit: int, assignment: QubitAssignment):
-    dec = decompose_u2(matrix)
-    return _u2_assembly((dec, p0, p1) for p0, p1 in _bit_pairs(assignment, qubit, ()))
+    return _u2_assembly(decompose_u2(matrix), *_bit_pairs(assignment, qubit, ()))
 
 
-def _lower_1q_pol(gate: Gate, assignment: QubitAssignment) -> list[list[OpticalElement]]:
+def _lower_1q_pol(gate: Gate, assignment: QubitAssignment) -> list[Column]:
     kind = gate.kind
     if kind is GateKind.X:
         return _rotator_stage(assignment, ())
     if kind is GateKind.Z:
-        return _phase_stage(assignment, (), math.pi, POL_V)
+        return _phase_stage(assignment, (), math.pi, _V)
     if kind is GateKind.S:
-        return _phase_stage(assignment, (), math.pi / 2, POL_V)
+        return _phase_stage(assignment, (), math.pi / 2, _V)
     if kind is GateKind.PHASE:
-        return _phase_stage(assignment, (), gate.params[0], POL_V)
+        return _phase_stage(assignment, (), gate.params[0], _V)
     # Mixing gates (H, general U2) need a path pair to interfere on, so the
     # polarization qubit is swapped onto a borrowed location qubit first.
     if assignment.n_loc == 0:
@@ -354,8 +380,8 @@ def _lower_1q_pol(gate: Gate, assignment: QubitAssignment) -> list[list[OpticalE
     return swap_stage + _lower_1q_location(one_qubit_matrix(gate), borrow, assignment) + swap_stage
 
 
-def lower_gate(gate: Gate, assignment: QubitAssignment) -> list[list[OpticalElement]]:
-    """Layers realizing one gate exactly (no global-phase slack)."""
+def _lower_columns(gate: Gate, assignment: QubitAssignment) -> list[Column]:
+    """Column layers realizing one gate exactly (no global-phase slack)."""
     kind, qs = gate.kind, gate.qubits
     gate.validate_for(assignment.n_qubits)
     if kind.n_qubits == 1:
@@ -368,17 +394,16 @@ def lower_gate(gate: Gate, assignment: QubitAssignment) -> list[list[OpticalElem
             return _rotator_stage(assignment, (control,))
         if assignment.is_pol(control):
             return _pbs_stage(assignment, target, ())
-        return _crossing_stage(assignment, _flip_map(assignment, target, (control,)))
+        return _crossing_stage(_flip_map(assignment, target, (control,)))
     if kind is GateKind.CZ:
         locs = tuple(q for q in qs if not assignment.is_pol(q))
-        pol_filter = POL_BOTH if len(locs) == 2 else POL_V
-        return _phase_stage(assignment, locs, math.pi, pol_filter)
+        return _phase_stage(assignment, locs, math.pi, POL_CODE_BOTH if len(locs) == 2 else _V)
     if kind is GateKind.SWAP:
         a, b = qs
         if assignment.is_pol(a) or assignment.is_pol(b):
             loc = b if assignment.is_pol(a) else a
             return _swap_loc_pol_stage(assignment, loc, ())
-        return _crossing_stage(assignment, _exchange_map(assignment, a, b, ()))
+        return _crossing_stage(_exchange_map(assignment, a, b, ()))
     if kind is GateKind.TOFFOLI:
         c1, c2, target = qs
         if assignment.is_pol(target):
@@ -386,75 +411,52 @@ def lower_gate(gate: Gate, assignment: QubitAssignment) -> list[list[OpticalElem
         if assignment.is_pol(c1) or assignment.is_pol(c2):
             other = c2 if assignment.is_pol(c1) else c1
             return _pbs_stage(assignment, target, (other,))
-        return _crossing_stage(assignment, _flip_map(assignment, target, (c1, c2)))
+        return _crossing_stage(_flip_map(assignment, target, (c1, c2)))
     if kind is GateKind.FREDKIN:
         control, a, b = qs
         if assignment.is_pol(control):
-            return (
-                _pbs_stage(assignment, b, (a,))
-                + _pbs_stage(assignment, a, (b,))
-                + _pbs_stage(assignment, b, (a,))
-            )
+            outer = _pbs_stage(assignment, b, (a,))
+            return outer + _pbs_stage(assignment, a, (b,)) + outer
         if assignment.is_pol(a) or assignment.is_pol(b):
             loc = b if assignment.is_pol(a) else a
             return _swap_loc_pol_stage(assignment, loc, (control,))
-        return _crossing_stage(assignment, _exchange_map(assignment, a, b, (control,)))
+        return _crossing_stage(_exchange_map(assignment, a, b, (control,)))
     raise CompileError(f"no lowering for gate kind {kind.value}")
 
 
+def lower_gate(gate: Gate, assignment: QubitAssignment) -> list[list[OpticalElement]]:
+    """Layers realizing one gate exactly (no global-phase slack), as element
+    views of the column layers compile_circuit lowers it to."""
+    return _element_layers(_lower_columns(gate, assignment), assignment.mode_space())
+
+
 def _cancel_adjacent_rotators(
-    layers: list[list[OpticalElement]], notes: list[str]
-) -> tuple[list[list[OpticalElement]], list[str]]:
-    # Two adjacent all-rotator layers compose to rotators on the symmetric
-    # difference of their path sets (a double flip is the identity).
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i + 1 < len(layers):
-            first, second = layers[i], layers[i + 1]
-            both_rotators = (
-                first
-                and second
-                and all(isinstance(e, Rotator) for e in first)
-                and all(isinstance(e, Rotator) for e in second)
-            )
-            if not both_rotators:
-                i += 1
-                continue
-            surviving = sorted(
-                {e.path for e in first} ^ {e.path for e in second}  # type: ignore[union-attr]
-            )
-            note = notes[i] if notes[i] == notes[i + 1] else f"{notes[i]} + {notes[i + 1]}"
-            if surviving:
-                layers[i : i + 2] = [[Rotator(p) for p in surviving]]
-                notes[i : i + 2] = [note]
-            else:
-                del layers[i : i + 2]
-                del notes[i : i + 2]
-            changed = True
-    return layers, notes
+    layers: list[Column], notes: list[str]
+) -> tuple[list[Column], list[str]]:
+    # Two adjacent rotator layers compose to rotators on the symmetric
+    # difference of their path sets (a double flip is the identity). Kept
+    # layers never hold two adjacent rotator layers, so one pass suffices.
+    kept, kept_notes = [], []
+    for layer, note in zip(layers, notes):
+        if layer.kind == ROT and kept and kept[-1].kind == ROT:
+            layer = Column(ROT, np.setxor1d(kept.pop().a, layer.a, assume_unique=True))
+            previous = kept_notes.pop()
+            note = previous if previous == note else f"{previous} + {note}"
+        if len(layer.a):
+            kept.append(layer)
+            kept_notes.append(note)
+    return kept, kept_notes
 
 
 def _extract_terminal_relabel(
-    layers: list[list[OpticalElement]], notes: list[str], space: ModeSpace
-) -> tuple[list[list[OpticalElement]], list[str], tuple[int, ...] | None]:
-    identity = tuple(range(space.n_paths))
-    relabel = list(identity)
-    found = False
-    while layers and layers[-1] and all(isinstance(e, Crossing) for e in layers[-1]):
-        layer_map = list(identity)
-        for element in layers[-1]:
-            for src, dst in enumerate(element.path_map):  # type: ignore[union-attr]
-                if src != dst:
-                    layer_map[src] = dst
-        relabel = [relabel[layer_map[p]] for p in range(space.n_paths)]
-        del layers[-1]
-        del notes[-1]
-        found = True
-    if not found or tuple(relabel) == identity:
-        return layers, notes, None
-    return layers, notes, tuple(relabel)
+    layers: list[Column], notes: list[str], space: ModeSpace
+) -> tuple[int, ...] | None:
+    # Trailing crossing layers leave the lists, composed into one relabeling.
+    relabel = identity = np.arange(space.n_paths)
+    while layers and layers[-1].kind == PERM:
+        relabel = relabel[layers.pop().path_map]
+        notes.pop()
+    return None if np.array_equal(relabel, identity) else tuple(relabel.tolist())
 
 
 def compile_circuit(
@@ -462,7 +464,8 @@ def compile_circuit(
     assignment: QubitAssignment | None = None,
     options: CompileOptions | None = None,
 ) -> OpticalNetlist:
-    """Lower a whole circuit to an optical netlist, gates in circuit order."""
+    """Lower a whole circuit to an optical netlist, gates in circuit order:
+    column layers, concatenated into one table that the netlist checks."""
     if assignment is None:
         assignment = QubitAssignment.for_circuit(circuit)
     if options is None:
@@ -472,17 +475,16 @@ def compile_circuit(
             f"assignment covers {assignment.n_qubits} qubit(s), circuit has {circuit.n_qubits}"
         )
     space = assignment.mode_space()
-    layers: list[list[OpticalElement]] = []
+    layers: list[Column] = []
     notes: list[str] = []
     for index, gate in enumerate(circuit.gates):
-        gate_layers = lower_gate(gate, assignment)
-        layers.extend(gate_layers)
-        notes.extend([f"g{index}: {gate_text(gate)}"] * len(gate_layers))
+        gate_layers = _lower_columns(gate, assignment)
+        layers += gate_layers
+        notes += [f"g{index}: {gate_text(gate)}"] * len(gate_layers)
     layers, notes = _cancel_adjacent_rotators(layers, notes)
-    relabel: tuple[int, ...] | None = None
-    if options.relabel_terminal_crossings:
-        layers, notes, relabel = _extract_terminal_relabel(layers, notes, space)
-    netlist = OpticalNetlist(space, layers, notes, relabel)
+    relabel = (_extract_terminal_relabel(layers, notes, space)
+               if options.relabel_terminal_crossings else None)
+    netlist = _netlist(space, _column_table(layers), notes, relabel)
     if options.prune:
         assert options.input_support is not None
         netlist = prune_dead_paths(netlist, options.input_support)
@@ -549,7 +551,8 @@ def prepare_location_state(
     if assignment.is_pol(qubit):
         raise CompileError("preparation targets a location qubit")
     dec = decompose_u2(_column_completion(complex(a), complex(b)))
-    return _u2_assembly([(dec, 0, assignment.path_delta(qubit))])
+    pair = (np.zeros(1, np.int64), np.array([assignment.path_delta(qubit)]))
+    return _element_layers(_u2_assembly(dec, *pair), assignment.mode_space())
 
 
 def prepare_path_state(amplitudes: Sequence[complex], space: ModeSpace) -> list[list[OpticalElement]]:
@@ -561,7 +564,7 @@ def prepare_path_state(amplitudes: Sequence[complex], space: ModeSpace) -> list[
         raise CompileError(f"expected {space.n_paths} path amplitudes, got {target.shape[0]}")
     if abs(np.linalg.norm(target) - 1.0) > 1e-10:
         raise CompileError("path amplitudes must be normalized")
-    layers: list[list[OpticalElement]] = []
+    layers: list[Column] = []
     for level in range(space.n_loc):
         seg = space.n_paths >> level
         half = seg >> 1
@@ -575,16 +578,11 @@ def prepare_path_state(amplitudes: Sequence[complex], space: ModeSpace) -> list[
             else:
                 first = float(np.linalg.norm(target[base : base + half])) / total
                 second = float(np.linalg.norm(target[base + half : base + seg])) / total
-            parts.append((decompose_u2(_column_completion(first, second)), base, base + half))
-        layers.extend(_u2_assembly(parts))
-    return layers
-
-
-def _doc_typed(value, kind: type, what: str):
-    """A decoded JSON value of exactly this type: a bool is no int."""
-    if type(value) is not kind:
-        raise NetlistFormatError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
-    return value
+            parts.append((base, *decompose_u2(_column_completion(first, second))))
+        p0, *angles = np.array(parts).reshape(-1, 6).T
+        p0 = p0.astype(np.int64)
+        layers += _u2_assembly(U2Decomposition(*angles), p0, p0 + half)
+    return _element_layers(layers, space)
 
 
 _NEWLINE_INDENT = tuple("\n" + "  " * depth for depth in range(6))
@@ -668,8 +666,8 @@ def netlist_from_json(text: str) -> OpticalNetlist:
             raise NetlistFormatError(f"uses_pol must be true or false, got {uses_pol!r}")
         space = ModeSpace(n_loc, uses_pol)
         meta = doc.get("meta", {})
-        notes = tuple(_doc_typed(s, str, "source gate") for s in meta.get("source_gates", ()))
-        return netlist_from_docs(space, doc["layers"], notes, meta.get("output_relabel"))
+        return netlist_from_docs(space, doc["layers"], meta.get("source_gates", ()),
+                                 meta.get("output_relabel"))
     except (NetlistFormatError, SpaceTooLargeError):
         raise
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:

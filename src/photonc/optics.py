@@ -39,14 +39,16 @@ by a crossing's a. One table, not a block per kind, keeps the element order
 inside a layer that the JSON text and net.layers follow. Angles are float64,
 so a library-built int angle 2 is stored and written as 2.0, as loaded.
 
-One vectorized checker, _check, validates every table, packed by the
-constructor from element objects after exact-type checks on each value, or
-decoded by netlist_from_docs straight from JSON element documents: path
-ranges, distinct pairs, polarized-only kinds, finite angles, crossing
-permutations, and disjoint layers by one sort of (layer, mode) keys, in
-memory linear in the elements. Element objects are views that net.layers,
-net.elements(), element_modes and element_unitary build on demand; the
-kernel, stats, pruning, diagram and JSON writer read the columns.
+One vectorized checker, _check, validates every table: packed by the
+constructor from element objects after exact-type checks on each value,
+decoded by netlist_from_docs straight from JSON element documents, or
+concatenated by the compiler from its column layers. It checks path ranges,
+distinct pairs, polarized-only kinds, finite angles, crossing permutations,
+and disjoint layers by one sort of (layer, mode) keys, in memory linear in
+the elements; _netlist also refuses a source gate that is not a str.
+Element objects are views that net.layers, net.elements(), element_modes
+and element_unitary build on demand; the kernel, stats, pruning, diagram
+and JSON writer read the columns.
 
 A layer (disjoint 2x2 blocks, phases and path swaps, like a column of a Reck
 or Clements mesh) applies as one gather update x[t] = c0*x[s0] + c1*x[s1]
@@ -82,13 +84,13 @@ class SpaceTooLargeError(NetlistError):
     """Mode space with more path bits than MAX_PATH_BITS."""
 
 
-# Lowering loops over every path and `h` on a location qubit puts 1.5
-# elements on each, so compiling one gate costs time and memory in
-# proportion to 2^n_loc. `compile` of a lone `h 0` (2-vCPU host) took
-# 0.37 s / 46 MB peak at 14 path bits, 1.2 s / 94 MB at 16 and 5.1 s /
-# 266 MB at 18: x4 per two bits, so about 20 s / 1 GB at 20 and 80 s / 4 GB
-# at 22. 20 bits is the widest space whose single gate still fits in a
-# minute and a gigabyte; past it, ModeSpace refuses before any loop starts.
+# `h` on a location qubit puts 1.5 elements on each path, so one gate's
+# netlist grows with 2^n_loc. For a lone `h 0` (2-vCPU host), compile_circuit
+# took 2 / 10 / 65 ms at 14 / 16 / 18 path bits, and CLI `compile`, mostly
+# its JSON writer, about 0.1 / 0.4 / 1.6 s at 42 / 69 / 175 MB peak: x4 per
+# two bits, so about 7 s / 700 MB at 20 and 30 s / 3 GB at 22. 20 bits is
+# the widest space whose one-gate netlist file stays under a gigabyte; past
+# it, ModeSpace refuses before any loop starts.
 MAX_PATH_BITS = 20
 
 
@@ -385,6 +387,9 @@ def _netlist(space: ModeSpace, table: ElementTable, source_gates: Sequence[str] 
     net = object.__new__(OpticalNetlist) if net is None else net
     n_layers = len(table.offsets) - 1
     source_gates = tuple(source_gates) or ("",) * n_layers
+    bad = [note for note in source_gates if not isinstance(note, str)]
+    if bad:
+        raise NetlistError(f"source gate {bad[0]!r} is not a str")
     if len(source_gates) != n_layers:
         raise NetlistError("source_gates must annotate each layer")
     _check(space, table)

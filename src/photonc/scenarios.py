@@ -201,12 +201,9 @@ def demo_teleport(alpha: complex, beta: complex, prune: bool = True) -> Scenario
     netlist = compile_circuit(circuit, assignment)
     space = netlist.space
     prep = prepare_location_state(alpha, beta, 0, assignment)
-    combined = OpticalNetlist(
-        space,
-        tuple(tuple(layer) for layer in prep) + netlist.layers,
-        ("input preparation",) * len(prep) + netlist.source_gates,
-        netlist.output_relabel,
-    )
+    combined = OpticalNetlist(space, [*prep, *netlist.layers],
+                              ("input preparation",) * len(prep) + netlist.source_gates,
+                              netlist.output_relabel)
     if prune:
         combined = prune_dead_paths(combined, (0,))
     final = propagate(combined, ModeAmplitudes.basis(space, 0))

@@ -259,11 +259,14 @@ class TestDiagram:
 
 @pytest.mark.parametrize("flags", [[], ["--no-relabel"]], ids=["relabel", "crossing"])
 def test_readers_build_no_element_objects(teleport_qc, tmp_path, monkeypatch, capsys, flags):
-    # stats, run, diagram and verify read the netlist's element table; only
-    # lowering and the library's net.layers build element objects.
+    # compile lowers gates straight to the columns of the element table, and
+    # stats, run, diagram and verify read that table; only the library's
+    # net.layers, lower_gate and prepare_* build element objects (as views).
     net = str(tmp_path / "net.json")
     assert main(["compile", teleport_qc, "-o", net, *flags]) == 0
-    commands = [["stats", net], ["run", net, "--input", "00,H"], ["diagram", net],
+    commands = [["compile", teleport_qc, *flags],
+                ["compile", teleport_qc, "--prune", "--input", "00,H", *flags],
+                ["stats", net], ["run", net, "--input", "00,H"], ["diagram", net],
                 ["verify", teleport_qc, net]]
     expected = []
     for argv in commands:

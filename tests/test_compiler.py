@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonc.circuit import (
     HADAMARD,
@@ -22,6 +24,7 @@ from photonc.circuit import (
     z,
 )
 from photonc.compiler import (
+    _DEGENERATE,
     CompileError,
     CompileOptions,
     NetlistFormatError,
@@ -53,8 +56,10 @@ from photonc.optics import (
     propagate,
 )
 from photonc.statevec import circuit_unitary
-from photonc.circuit import Gate, GateKind, gate_unitary
+from photonc import compiler
+from photonc.circuit import Gate, GateKind, QuantumCircuit, gate_unitary
 from conftest import haar_u2, random_assignment, random_circuit, random_gate
+from test_kernel import reference_footprint
 
 TELEPORT = (
     "qubits 3\npol 1\nh 0\nh 2\ncnot 0 1\ncnot 2 1\nh 0\ncnot 1 2\nh 2\ncnot 0 2\n"
@@ -160,6 +165,27 @@ class TestDecomposeU2:
         for m in (HADAMARD, PAULI_X, PAULI_Z, S_GATE, 1j * np.eye(2)):
             dec = decompose_u2(m)
             assert np.max(np.abs(reconstruct_u2(dec) - m)) < 1e-12
+
+    @given(
+        part=st.sampled_from(["sin", "cos"]),
+        side=st.sampled_from([-1, 1]),
+        offset=st.floats(1e-4, 0.5),
+        phases=st.lists(st.floats(-math.pi, math.pi), min_size=4, max_size=4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_round_trip_at_the_degenerate_bound(self, part, side, offset, phases):
+        # sin_part or cos_part just below (side -1) or above (+1) the bound
+        # where decompose_u2 switches to its diagonal or antidiagonal branch.
+        small = _DEGENERATE * (1 + side * offset)
+        large = math.sqrt(1 - small * small)
+        c, s = (large, small) if part == "sin" else (small, large)
+        in_a, in_b, out_a, out_b = np.exp(1j * np.array(phases))
+        u = np.diag([out_a, out_b]) @ np.array([[c, 1j * s], [1j * s, c]]) @ np.diag([in_a, in_b])
+        measured = {"sin": abs(u[0, 1]) + abs(u[1, 0]), "cos": abs(u[0, 0]) + abs(u[1, 1])}
+        assert (measured[part] / 2 < _DEGENERATE) == (side < 0)
+        dec = decompose_u2(u)
+        assert np.max(np.abs(reconstruct_u2(dec) - u)) < 1e-12
+        assert 0.0 <= dec.theta <= math.pi / 2
 
     def test_rejects_non_unitary(self):
         with pytest.raises(CompileError):
@@ -360,6 +386,41 @@ class TestCompileCircuit:
         bridge = basis_bridge(QubitAssignment.default(2, pol_qubit=1))
         reference = bridge @ circuit_unitary(circ) @ bridge.T
         assert global_phase_distance(reference, netlist_unitary(net)).passed
+
+
+@st.composite
+def rotator_rich_circuits(draw):
+    """A polarized circuit where most gates lower to one rotator layer (cnot
+    loc->pol, x pol, toffoli loc,loc->pol), among gates that split runs of
+    them or end in rotators (cnot pol->loc, z pol, h loc, h pol, swap
+    loc/pol), and its assignment."""
+    n = draw(st.integers(2, 4))
+    pol = draw(st.integers(0, n - 1))
+    order = tuple(draw(st.permutations([q for q in range(n) if q != pol])))
+    gates = []
+    for _ in range(draw(st.integers(0, 12))):
+        a, b = draw(st.permutations(order))[:2] if len(order) > 1 else (order[0], None)
+        candidates = [cnot(a, pol), cnot(a, pol), x(pol), x(pol), cnot(pol, a), z(pol), h(a),
+                      h(pol), swap(a, pol)]
+        if b is not None:
+            candidates += [toffoli(a, b, pol)] * 2
+        gates.append(draw(st.sampled_from(candidates)))
+    return QuantumCircuit(n, tuple(gates)), QubitAssignment(n, order, pol)
+
+
+@given(rotator_rich_circuits())
+@settings(max_examples=200, deadline=None)
+def test_rotator_cancellation_keeps_layers_disjoint_and_unitary(case):
+    circuit, asg = case
+    net = compile_circuit(circuit, asg)
+    for layer in net.layers:
+        modes = [mode for element in layer for mode in reference_footprint(element, net.space)]
+        assert len(modes) == len(set(modes))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(compiler, "_cancel_adjacent_rotators", lambda layers, notes: (layers, notes))
+        uncancelled = compile_circuit(circuit, asg)
+    assert net.n_layers <= uncancelled.n_layers
+    assert np.max(np.abs(netlist_unitary(net) - netlist_unitary(uncancelled))) < 1e-12
 
 
 class TestTerminalRelabel:

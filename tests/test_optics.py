@@ -258,6 +258,12 @@ class TestNetlist:
         with pytest.raises(NetlistError):
             OpticalNetlist(space, ((BeamSplitter(0, 1),),), ("a", "b"))
 
+    @pytest.mark.parametrize("notes", [(1,), (None,), (b"g0",)])
+    def test_source_gates_are_strs(self, notes):
+        # (1,) used to be accepted, and netlist_to_json then raised a TypeError.
+        with pytest.raises(NetlistError, match="source gate .* is not a str"):
+            OpticalNetlist(ModeSpace(1), [[BeamSplitter(0, 1)]], notes)
+
     def test_bad_relabel(self):
         space = ModeSpace(1)
         with pytest.raises(NetlistError):
