@@ -46,7 +46,7 @@ class _UsageError(Exception):
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from None
 
 
@@ -140,7 +140,10 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     netlist = compile_circuit(circuit, assignment, options)
     text = netlist_to_json(netlist)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.output}: {exc}") from None
         print(f"wrote {args.output}: {netlist.n_layers} layer(s), {netlist.n_elements} element(s)")
     else:
         sys.stdout.write(text)

@@ -36,10 +36,10 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import re
 from dataclasses import dataclass
-from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,16 +53,11 @@ from .optics import (
     POL_V,
     PS,
     ROT,
-    BeamSplitter,
-    Crossing,
     ElementTable,
     ModeSpace,
     NetlistFormatError,
     OpticalElement,
     OpticalNetlist,
-    PhaseShifter,
-    PolarizingBeamSplitter,
-    Rotator,
     SpaceTooLargeError,
     _POL_FILTERS,
     _netlist,
@@ -595,36 +590,54 @@ def _json_list(items: Iterable[str], depth: int) -> str:
     return f"[{inner}{body}{_NEWLINE_INDENT[depth]}]" if body else "[]"
 
 
-def _element_template(tag: str, *fields: str) -> str:
-    """The %-template of an element doc inside a layer, fields in to_doc order."""
-    return f'{{\n        "type": "{tag}",\n        ' + ",\n        ".join(fields) + "\n      }"
+_PAIR = '"paths": [\n          $a,\n          $b\n        ]'
+_ELEMENT_TEMPLATES = tuple(  # by kind code, to_doc fields split at $slots: literal, slot, ...
+    re.split(r"\$(\w+)", f'{{\n        "type": "{kind.tag}",\n        '
+             + ",\n        ".join(fields) + "\n      }")
+    for kind, fields in zip(ELEMENT_KINDS, (
+        (_PAIR, '"theta": $angle'), ('"path": $a', '"pol": $pol', '"phi": $angle'),
+        ('"path": $a',), (_PAIR,), ('"map": $map',))))
+_JSON_BLOCK = 1 << 13  # element rows turned into text at a time
 
 
-_PATHS_FIELD = '"paths": [\n          %d,\n          %d\n        ]'
-_BS_TEXT = _element_template(BeamSplitter.tag, _PATHS_FIELD, '"theta": %r')
-_PS_TEXT = _element_template(PhaseShifter.tag, '"path": %d', '"pol": %s', '"phi": %r')
-_ROT_TEXT = _element_template(Rotator.tag, '"path": %d')
-_PBS_TEXT = _element_template(PolarizingBeamSplitter.tag, _PATHS_FIELD)
-_PERM_TEXT = _element_template(Crossing.tag, '"map": %s')
-_POL_TEXT = tuple(map(_json_string, _POL_FILTERS))
-_TEXT_BLOCK = 1 << 12
+def _layer_gap(prev: int, k: int) -> str:
+    """The layers text after layer prev's last element (after the list's "["
+    when prev is -1) up to item k: close prev, write the layers between as []."""
+    return ("\n    ]," if prev >= 0 else "") + "\n    []," * (k - prev - 1) + "\n    "
 
 
-def _element_texts(netlist: OpticalNetlist) -> Iterator[str]:
-    """Each element's document text, in netlist order, from the table columns
-    (a block of rows at a time, so that no whole-netlist list is held)."""
-    table = netlist.table
-    maps = [_json_list(map(int.__repr__, path_map.tolist()), 4) for path_map in table.maps]
-    for start in range(0, netlist.n_elements, _TEXT_BLOCK):
-        block = (column[start:start + _TEXT_BLOCK].tolist() for column in table[:5])
-        yield from (
-            _BS_TEXT % (a, b, angle) if kind == BS
-            else _PS_TEXT % (a, _POL_TEXT[pol], angle) if kind == PS
-            else _ROT_TEXT % a if kind == ROT
-            else _PBS_TEXT % (a, b) if kind == PBS
-            else _PERM_TEXT % maps[a]
-            for kind, a, b, angle, pol in zip(*block)
-        )
+def _element_blocks(table: ElementTable, starts: list[int]) -> list[str]:
+    """The elements' text, a block of rows a string. Row r of an index grid
+    over a vocabulary of texts is element r's lead (a separator, or the gap
+    and "[" before layer starts[i]) and its kind's template; each distinct
+    path, angle (by its bits: -0.0 is not 0.0), pol and map is written once."""
+    n = len(table.kind)
+    paths, path_index = np.unique(np.concatenate((table.a, table.b)), return_inverse=True)
+    angles, angle_index = np.unique(table.angle.view(np.int64), return_inverse=True)
+    parts = [
+        ["", ",\n      "],  # pads short rows; separates two elements of a layer
+        [piece for pieces in _ELEMENT_TEMPLATES for piece in (pieces[::2] + ["", ""])[:4]],
+        list(map(int.__repr__, paths.tolist())),
+        list(map(float.__repr__, angles.view(np.float64).tolist())),
+        list(map(_json_string, _POL_FILTERS)),
+        [_json_list(map(int.__repr__, path_map.tolist()), 4) for path_map in table.maps],
+        [_layer_gap(prev, k) + "[\n      " for prev, k in zip([-1, *starts], starts)],
+    ]
+    _, literal, path, angle, pol, maps, lead = np.cumsum([0, *map(len, parts)])[:-1].tolist()
+    slots = {"a": (path, path_index[:n]), "b": (path, path_index[n:]), "map": (maps, table.a),
+             "angle": (angle, angle_index), "pol": (pol, table.pol.astype(np.int64))}
+    grid = np.zeros((n, 8), np.int64)  # a lead, three literal/slot pairs, a last literal
+    grid[:, 0] = 1  # the separator, but the lead of each layer's first element
+    grid[table.offsets[starts], 0] = lead + np.arange(len(starts))
+    grid[:, 1::2] = literal + np.arange(4) + 4 * table.kind[:, None]
+    for code, pieces in enumerate(_ELEMENT_TEMPLATES):
+        rows = np.flatnonzero(table.kind == code)
+        for col, slot in enumerate(pieces[1::2], 1):
+            base, values = slots[slot]
+            grid[rows, 2 * col] = base + values[rows]
+    texts = np.array([text for part in parts for text in part], dtype=object)
+    return ["".join(texts.take(grid[i:i + _JSON_BLOCK].reshape(-1)).tolist())
+            for i in range(0, n, _JSON_BLOCK)]
 
 
 def netlist_to_json(netlist: OpticalNetlist) -> str:
@@ -632,23 +645,21 @@ def netlist_to_json(netlist: OpticalNetlist) -> str:
 
     The text is byte for byte json.dumps(doc, indent=2) + "\n" of {version,
     n_loc, uses_pol, layers: [[element.to_doc()]], meta: {source_gates,
-    output_relabel?}} over the views of netlist.layers, the tests' reference.
-    It is written here because with an indent json.dumps runs its pure-Python
-    encoder (two thirds of compile time at 12 qubits): one %-template per
-    kind, filled from the table rows, checked ints by %d and finite floats by
-    %r (float.__repr__, as json writes them), with no element object.
-    """
-    texts = _element_texts(netlist)
-    counts = np.diff(netlist.table.offsets).tolist()
-    layers = _json_list((_json_list(islice(texts, count), 2) for count in counts), 1)
+    output_relabel?}} over the views of netlist.layers, the tests' reference,
+    with no pure-Python encoder, element object or format per element: the
+    elements are one index grid over a text vocabulary (_element_blocks)."""
+    space, n_layers = netlist.space, netlist.n_layers
+    starts = np.flatnonzero(np.diff(netlist.table.offsets)).tolist()  # the non-empty layers
+    end = _layer_gap(starts[-1] if starts else -1, n_layers).rstrip()[:-1]  # no last ","
     meta = '"source_gates": ' + _json_list(map(_json_string, netlist.source_gates), 2)
     if netlist.output_relabel is not None:
         meta += ',\n    "output_relabel": ' + _json_list(map(int.__repr__, netlist.output_relabel), 2)
-    return (
-        f'{{\n  "version": 1,\n  "n_loc": {netlist.space.n_loc:d},\n'
-        f'  "uses_pol": {"true" if netlist.space.uses_pol else "false"},\n  "layers": {layers},\n'
-        f'  "meta": {{\n    {meta}\n  }}\n}}\n'
-    )
+    return "".join([
+        f'{{\n  "version": 1,\n  "n_loc": {space.n_loc:d},\n'
+        f'  "uses_pol": {"true" if space.uses_pol else "false"},\n  "layers": [',
+        *_element_blocks(netlist.table, starts),
+        end + ("\n  ]" if n_layers else "]") + f',\n  "meta": {{\n    {meta}\n  }}\n}}\n',
+    ])
 
 
 def netlist_from_json(text: str) -> OpticalNetlist:

@@ -87,10 +87,10 @@ class SpaceTooLargeError(NetlistError):
 # `h` on a location qubit puts 1.5 elements on each path, so one gate's
 # netlist grows with 2^n_loc. For a lone `h 0` (2-vCPU host), compile_circuit
 # took 2 / 10 / 65 ms at 14 / 16 / 18 path bits, and CLI `compile`, mostly
-# its JSON writer, about 0.1 / 0.4 / 1.6 s at 42 / 69 / 175 MB peak: x4 per
-# two bits, so about 7 s / 700 MB at 20 and 30 s / 3 GB at 22. 20 bits is
-# the widest space whose one-gate netlist file stays under a gigabyte; past
-# it, ModeSpace refuses before any loop starts.
+# its JSON writer, about 0.04 / 0.15 / 0.65 s at 42 / 66 / 161 MB peak: x4
+# per two bits, so about 2.6 s / 600 MB at 20 and 10 s / 2.4 GB at 22. 20
+# bits is the widest space whose one-gate netlist file stays under a
+# gigabyte; past it, ModeSpace refuses before any loop starts.
 MAX_PATH_BITS = 20
 
 

@@ -4,6 +4,8 @@ Two independent execution routes are kept on purpose:
 
   - run_circuit applies each gate sparsely to the amplitude vector using
     stride arithmetic over basis indices (no 2^n x 2^n matrix is built);
+    circuit_unitary runs the same gates over the row-major flat identity,
+    a 2n-qubit vector whose high n qubits are the row index, in O(G * 4^n);
   - run_circuit_dense multiplies the embedded gate unitaries together.
 
 Agreement between the two is a standing cross-check in the test suite.
@@ -90,29 +92,14 @@ def _selector(n: int, fixed: dict[int, int]) -> tuple:
     return tuple(sel)
 
 
-def _apply_controlled_flip(
-    amps: np.ndarray, controls: Iterable[int], target: int, n: int
+def _apply_swap(
+    amps: np.ndarray, controls: Iterable[int], first: dict, second: dict, n: int
 ) -> np.ndarray:
+    # Exchange the amplitudes reading `first` and `second` where all controls are 1.
     psi = amps.reshape([2] * n).copy()
     base = {c: 1 for c in controls}
-    sel0 = _selector(n, base | {target: 0})
-    sel1 = _selector(n, base | {target: 1})
-    low = psi[sel0].copy()
-    psi[sel0] = psi[sel1]
-    psi[sel1] = low
-    return psi.reshape(-1)
-
-
-def _apply_exchange(
-    amps: np.ndarray, a: int, b: int, n: int, controls: Iterable[int] = ()
-) -> np.ndarray:
-    psi = amps.reshape([2] * n).copy()
-    base = {c: 1 for c in controls}
-    sel01 = _selector(n, base | {a: 0, b: 1})
-    sel10 = _selector(n, base | {a: 1, b: 0})
-    low = psi[sel01].copy()
-    psi[sel01] = psi[sel10]
-    psi[sel10] = low
+    sel0, sel1 = _selector(n, base | first), _selector(n, base | second)
+    psi[sel0], psi[sel1] = psi[sel1].copy(), psi[sel0].copy()
     return psi.reshape(-1)
 
 
@@ -128,22 +115,18 @@ def _apply_gate(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
     kind, qs = gate.kind, gate.qubits
     if kind in (GateKind.H, GateKind.X, GateKind.U2):
         return _apply_single(amps, one_qubit_matrix(gate), qs[0], n)
-    if kind is GateKind.Z:
+    if kind in (GateKind.Z, GateKind.CZ):
         return _apply_phase_where(amps, qs, -1.0, n)
     if kind is GateKind.S:
         return _apply_phase_where(amps, qs, 1.0j, n)
     if kind is GateKind.PHASE:
         return _apply_phase_where(amps, qs, np.exp(1j * gate.params[0]), n)
-    if kind is GateKind.CZ:
-        return _apply_phase_where(amps, qs, -1.0, n)
-    if kind is GateKind.CNOT:
-        return _apply_controlled_flip(amps, qs[:1], qs[1], n)
-    if kind is GateKind.TOFFOLI:
-        return _apply_controlled_flip(amps, qs[:2], qs[2], n)
-    if kind is GateKind.SWAP:
-        return _apply_exchange(amps, qs[0], qs[1], n)
-    if kind is GateKind.FREDKIN:
-        return _apply_exchange(amps, qs[1], qs[2], n, controls=qs[:1])
+    if kind in (GateKind.CNOT, GateKind.TOFFOLI):
+        *controls, target = qs
+        return _apply_swap(amps, controls, {target: 0}, {target: 1}, n)
+    if kind in (GateKind.SWAP, GateKind.FREDKIN):
+        *controls, a, b = qs
+        return _apply_swap(amps, controls, {a: 0, b: 1}, {a: 1, b: 0}, n)
     raise ValueError(f"unhandled gate kind {kind.value}")
 
 
@@ -158,19 +141,22 @@ def run_circuit(circuit: QuantumCircuit, state: StateVector) -> StateVector:
 
 
 def circuit_unitary(circuit: QuantumCircuit) -> np.ndarray:
-    """Dense unitary of the whole circuit (product of embedded gates)."""
-    dim = 1 << circuit.n_qubits
-    u = np.eye(dim, dtype=complex)
+    """Dense unitary of the whole circuit: its gates applied to the flat identity."""
+    n, dim = circuit.n_qubits, 1 << circuit.n_qubits
+    flat = np.eye(dim, dtype=complex).reshape(-1)
     for gate in circuit.gates:
-        u = gate_unitary(gate, circuit.n_qubits) @ u
-    return u
+        flat = _apply_gate(flat, gate, 2 * n)
+    return flat.reshape(dim, dim)
 
 
 def run_circuit_dense(circuit: QuantumCircuit, state: StateVector) -> StateVector:
-    """Cross-check route: apply the dense circuit unitary in one product."""
+    """Cross-check route: apply the product of the embedded gate unitaries."""
     if state.n_qubits != circuit.n_qubits:
         raise ValueError("state and circuit qubit counts differ")
-    return StateVector(circuit.n_qubits, circuit_unitary(circuit) @ state.amplitudes)
+    u = np.eye(1 << circuit.n_qubits, dtype=complex)
+    for gate in circuit.gates:
+        u = gate_unitary(gate, circuit.n_qubits) @ u
+    return StateVector(circuit.n_qubits, u @ state.amplitudes)
 
 
 def _check_qubits(qubits: Sequence[int], n: int, what: str) -> tuple[int, ...]:

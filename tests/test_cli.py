@@ -63,6 +63,24 @@ class TestCompile:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["compile", str(tmp_path / "nope.qc")]) == 2
 
+    @pytest.mark.parametrize("target", ["missing/net.json", "."])
+    def test_unwritable_output_is_input_error(self, teleport_qc, tmp_path, capsys, target):
+        out = str(tmp_path / target)
+        assert main(["compile", teleport_qc, "-o", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert "wrote" not in captured.out
+
+    @pytest.mark.parametrize("command", [["compile"], ["stats"], ["verify", "{qc}"]])
+    @pytest.mark.parametrize("suffix", [".qc", ".json"])
+    def test_input_that_is_not_utf8_is_input_error(self, teleport_qc, tmp_path, capsys, command,
+                                                   suffix):
+        bad = tmp_path / f"bad{suffix}"
+        bad.write_bytes(b"\xff\xfe")
+        argv = [arg.format(qc=teleport_qc) for arg in command] + [str(bad)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {bad}: 'utf-8' codec")
+
     def test_parse_error_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.qc"
         bad.write_text("qubits 2\nfoo 0\n", encoding="utf-8")

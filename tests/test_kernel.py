@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from photonc import compiler
 from photonc.compiler import device_stats, netlist_from_json, netlist_to_json, prune_dead_paths
 from photonc.optics import (
     POL_BOTH,
@@ -147,6 +148,43 @@ def test_json_matches_stdlib_encoder(net, notes):
                                         (BeamSplitter(0, 1, np.float64(1e-300)),))),
 ], ids=["no-layers", "empty-layers", "relabel", "non-ascii-note", "int-angle", "numpy-angle"])
 def test_json_matches_stdlib_encoder_on_edge_cases(net):
+    assert netlist_to_json(net) == stdlib_json(net)
+
+
+SWAP_01 = Crossing((1, 0, 2, 3))
+
+
+@pytest.mark.parametrize("net", [
+    OpticalNetlist(ModeSpace(1, True), ((PhaseShifter(0, 0.0), PhaseShifter(1, -0.0, POL_H)),
+                                        (BeamSplitter(0, 1, -0.0),), (PhaseShifter(1, 0.0),))),
+    OpticalNetlist(ModeSpace(2), ((PhaseShifter(0, 5e-324), BeamSplitter(1, 2, 1e16)),
+                                  (PhaseShifter(3, -5e-324), PhaseShifter(1, 1e16)))),
+    OpticalNetlist(ModeSpace(2), ((SWAP_01,), (BeamSplitter(0, 1, 0.5),), (SWAP_01,),
+                                  (Crossing((0, 1, 3, 2)),)), output_relabel=(1, 0, 2, 3)),
+    OpticalNetlist(ModeSpace(2, True), ((), (), (PhaseShifter(2, 1.0, POL_V), Rotator(3)), (),
+                                        (), (PolarizingBeamSplitter(0, 3),), (), ())),
+    OpticalNetlist(ModeSpace(2), ((SWAP_01,), (Crossing((3, 2, 1, 0)),), (SWAP_01,))),
+    OpticalNetlist(ModeSpace(1), ((), ())),
+], ids=["signed-zero-angles", "extreme-angles", "repeated-crossing-map",
+        "empty-layer-runs", "crossings-only", "only-empty-layers"])
+def test_json_writer_edge_cases_match_stdlib_encoder(net):
+    assert netlist_to_json(net) == stdlib_json(net)
+
+
+def test_json_matches_stdlib_encoder_across_row_blocks():
+    """Two layers of one row block each, so the second starts and ends on a
+    block edge, an empty layer, then a part of a block."""
+    block = compiler._JSON_BLOCK
+    space = ModeSpace(block.bit_length(), True)  # 2 * block paths
+    layers = (
+        [PhaseShifter(p, p / 7, (POL_H, POL_V, POL_BOTH)[p % 3]) for p in range(block)],
+        [BeamSplitter(p, p + 1, -p / 3) for p in range(0, block, 2)]
+        + [Rotator(p) for p in range(block, 3 * block // 2)],
+        [],
+        [PolarizingBeamSplitter(2, 5), Crossing((1, 0, *range(2, space.n_paths)))],
+    )
+    net = OpticalNetlist(space, layers)
+    assert len(net.layers[1]) == block
     assert netlist_to_json(net) == stdlib_json(net)
 
 

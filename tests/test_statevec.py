@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonc.circuit import (
     Gate,
@@ -114,6 +118,23 @@ class TestRunCircuit:
             a = run_circuit(circ, st).amplitudes
             b = run_circuit_dense(circ, st).amplitudes
             assert np.max(np.abs(a - b)) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_circuit_unitary_is_the_gate_unitary_product(self, data):
+        # Every gate kind the qubit count allows, on random distinct operands.
+        n = data.draw(st.integers(1, 4))
+        angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+        gates = []
+        for kind in data.draw(st.lists(st.sampled_from([k for k in GateKind if k.n_qubits <= n]),
+                                       max_size=12)):
+            qubits = data.draw(st.permutations(range(n)))[: kind.n_qubits]
+            gates.append(Gate(kind, qubits, data.draw(st.tuples(*[angles] * kind.n_params))))
+        circ = QuantumCircuit(n, tuple(gates))
+        expected = np.eye(2**n, dtype=complex)
+        for gate in gates:
+            expected = gate_unitary(gate, n) @ expected
+        assert np.max(np.abs(circuit_unitary(circ) - expected)) < 1e-12
 
     def test_circuit_unitary_composes_left(self):
         circ = QuantumCircuit(1, (h(0), s(0)))
