@@ -223,15 +223,18 @@ def _parse_index(token: str, line: int, n_qubits: int) -> int:
 
 
 def parse_circuit(text: str) -> QuantumCircuit:
-    """Parse circuit source text; errors carry the offending line number."""
+    """Parse circuit source text; errors carry the offending line number. Each
+    distinct gate line is parsed once per call; its repeats share the Gate."""
     n_qubits: int | None = None
     pol_qubit: int | None = None
     gates: list[Gate] = []
+    parsed: dict[str, tuple[Gate, ...]] = {"": ()}  # gate line, comment stripped -> (gate,)
     last_line = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         last_line = line_no
         line = raw.split("#", 1)[0].strip()
-        if not line:
+        if line in parsed:
+            gates += parsed[line]
             continue
         parts = line.split()
         mnemonic, args = parts[0].lower(), parts[1:]
@@ -270,9 +273,10 @@ def parse_circuit(text: str) -> QuantumCircuit:
         except ValueError as exc:
             raise CircuitParseError(line_no, str(exc)) from None
         try:
-            gates.append(Gate(kind, qubits, params))
+            parsed[line] = (Gate(kind, qubits, params),)
         except CircuitError as exc:
             raise CircuitParseError(line_no, str(exc)) from None
+        gates += parsed[line]
     if n_qubits is None:
         raise CircuitParseError(last_line + 1, "missing 'qubits' statement")
     return QuantumCircuit(n_qubits, tuple(gates), pol_qubit)

@@ -38,6 +38,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterable, NamedTuple, Sequence
 
@@ -460,7 +461,8 @@ def compile_circuit(
     options: CompileOptions | None = None,
 ) -> OpticalNetlist:
     """Lower a whole circuit to an optical netlist, gates in circuit order:
-    column layers, concatenated into one table that the netlist checks."""
+    column layers, concatenated into one table that the netlist checks. Each
+    distinct gate text is lowered once per call; its repeats share the columns."""
     if assignment is None:
         assignment = QubitAssignment.for_circuit(circuit)
     if options is None:
@@ -472,10 +474,16 @@ def compile_circuit(
     space = assignment.mode_space()
     layers: list[Column] = []
     notes: list[str] = []
+    lowered: dict[str, list[Column]] = {}  # by gate text: repr keeps -0.0 apart from 0.0
     for index, gate in enumerate(circuit.gates):
-        gate_layers = _lower_columns(gate, assignment)
-        layers += gate_layers
-        notes += [f"g{index}: {gate_text(gate)}"] * len(gate_layers)
+        text = gate_text(gate)
+        if text not in lowered:  # its repeats share these columns, so none may write to them
+            lowered[text] = _lower_columns(gate, assignment)
+            for array in chain.from_iterable(lowered[text]):
+                if isinstance(array, np.ndarray):
+                    array.flags.writeable = False
+        layers += lowered[text]
+        notes += [f"g{index}: {text}"] * len(lowered[text])
     layers, notes = _cancel_adjacent_rotators(layers, notes)
     relabel = (_extract_terminal_relabel(layers, notes, space)
                if options.relabel_terminal_crossings else None)
@@ -610,7 +618,8 @@ def _element_blocks(table: ElementTable, starts: list[int]) -> list[str]:
     """The elements' text, a block of rows a string. Row r of an index grid
     over a vocabulary of texts is element r's lead (a separator, or the gap
     and "[" before layer starts[i]) and its kind's template; each distinct
-    path, angle (by its bits: -0.0 is not 0.0), pol and map is written once."""
+    path, angle (by its bits: -0.0 is not 0.0), pol and map is written once.
+    The grid's cells are int32 unless the vocabulary needs more."""
     n = len(table.kind)
     paths, path_index = np.unique(np.concatenate((table.a, table.b)), return_inverse=True)
     angles, angle_index = np.unique(table.angle.view(np.int64), return_inverse=True)
@@ -623,10 +632,11 @@ def _element_blocks(table: ElementTable, starts: list[int]) -> list[str]:
         [_json_list(map(int.__repr__, path_map.tolist()), 4) for path_map in table.maps],
         [_layer_gap(prev, k) + "[\n      " for prev, k in zip([-1, *starts], starts)],
     ]
-    _, literal, path, angle, pol, maps, lead = np.cumsum([0, *map(len, parts)])[:-1].tolist()
+    _, literal, path, angle, pol, maps, lead, size = np.cumsum([0, *map(len, parts)]).tolist()
     slots = {"a": (path, path_index[:n]), "b": (path, path_index[n:]), "map": (maps, table.a),
              "angle": (angle, angle_index), "pol": (pol, table.pol.astype(np.int64))}
-    grid = np.zeros((n, 8), np.int64)  # a lead, three literal/slot pairs, a last literal
+    # A row: a lead, three literal/slot pairs, a last literal; int32 halves int64's bytes.
+    grid = np.zeros((n, 8), np.int32 if size < 1 << 31 else np.int64)
     grid[:, 0] = 1  # the separator, but the lead of each layer's first element
     grid[table.offsets[starts], 0] = lead + np.arange(len(starts))
     grid[:, 1::2] = literal + np.arange(4) + 4 * table.kind[:, None]
@@ -665,7 +675,7 @@ def netlist_to_json(netlist: OpticalNetlist) -> str:
 def netlist_from_json(text: str) -> OpticalNetlist:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise NetlistFormatError(f"invalid netlist JSON: {exc}") from None
     try:
         version, n_loc, uses_pol = doc["version"], doc["n_loc"], doc["uses_pol"]
@@ -676,10 +686,18 @@ def netlist_from_json(text: str) -> OpticalNetlist:
         if type(uses_pol) is not bool:
             raise NetlistFormatError(f"uses_pol must be true or false, got {uses_pol!r}")
         space = ModeSpace(n_loc, uses_pol)
-        meta = doc.get("meta", {})
-        return netlist_from_docs(space, doc["layers"], meta.get("source_gates", ()),
-                                 meta.get("output_relabel"))
+        layers, meta = doc["layers"], doc.get("meta", {})
+        if type(layers) is not list or set(map(type, layers)) - {list}:
+            raise NetlistFormatError("layers must be a JSON list of element lists")
+        if type(meta) is not dict:
+            raise NetlistFormatError("meta must be a JSON object")
+        notes = meta.get("source_gates", [])
+        if type(notes) is not list:
+            raise NetlistFormatError("source_gates must be a JSON list")
+        return netlist_from_docs(space, layers, notes, meta.get("output_relabel"))
     except (NetlistFormatError, SpaceTooLargeError):
         raise
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise NetlistFormatError(f"invalid netlist document: missing key {exc}") from None
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
         raise NetlistFormatError(f"invalid netlist document: {exc}") from None

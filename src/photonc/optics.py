@@ -43,9 +43,9 @@ One vectorized checker, _check, validates every table: packed by the
 constructor from element objects after exact-type checks on each value,
 decoded by netlist_from_docs straight from JSON element documents, or
 concatenated by the compiler from its column layers. It checks path ranges,
-distinct pairs, polarized-only kinds, finite angles, crossing permutations,
-and disjoint layers by one sort of (layer, mode) keys, in memory linear in
-the elements; _netlist also refuses a source gate that is not a str.
+distinct pairs, polarized-only kinds, finite angles, crossing maps (their
+lengths, then one row sort of their stack) and disjoint layers by one sort
+of (layer, mode) keys; _netlist also refuses a source gate that is not a str.
 Element objects are views that net.layers, net.elements(), element_modes
 and element_unitary build on demand; the kernel, stats, pruning, diagram
 and JSON writer read the columns.
@@ -328,11 +328,11 @@ def _doc_fields(code: int, docs: list) -> list[list]:
     return values
 
 
-def _check_permutation(path_map: np.ndarray, n_paths: int, name: str) -> None:
-    inside = path_map[(path_map >= 0) & (path_map < n_paths)]
-    seen = np.zeros(n_paths, bool)
-    seen[inside] = True
-    if len(path_map) != n_paths or len(inside) != n_paths or not seen.all():
+def _check_permutation(maps: Sequence[np.ndarray], n_paths: int, name: str) -> None:
+    """Raise unless every map permutes range(n_paths): a length test, then
+    one sort of the maps' (k, n_paths) stack."""
+    if set(map(len, maps)) - {n_paths} or maps and (
+            np.sort(np.stack(maps), axis=1) != np.arange(n_paths)).any():
         raise NetlistError(f"{name} must permute all path indices")
 
 
@@ -346,10 +346,11 @@ def _footprint(table: ElementTable, space: ModeSpace) -> tuple[np.ndarray, np.nd
             r = np.flatnonzero(acts & ((pol == POL_CODE_BOTH) | (pol == k)))
             rows.append(r)
             modes.append(path[r] * w + k)
-    for r in np.flatnonzero(kind == PERM).tolist():
-        path_map = table.maps[table.a[r]]
-        moved = np.flatnonzero(path_map != np.arange(len(path_map)))
-        rows += [np.full(len(moved), r)] * w
+    if table.maps:  # a checked table's maps all have n_paths entries
+        crossings = np.flatnonzero(kind == PERM)
+        moves = np.stack(table.maps) != np.arange(space.n_paths)
+        crossing, moved = np.nonzero(moves[table.a[crossings]])
+        rows += [crossings[crossing]] * w
         modes += [moved * w + k for k in range(w)]
     return np.concatenate(rows), np.concatenate(modes)
 
@@ -373,8 +374,7 @@ def _check(space: ModeSpace, table: ElementTable) -> None:
     finite = np.isfinite(table.angle)
     if not finite.all():
         raise NetlistError(f"angle must be a finite number, got {table.angle[~finite][0]}")
-    for path_map in table.maps:
-        _check_permutation(path_map, n, "crossing map")
+    _check_permutation(table.maps, n, "crossing map")
     rows, modes = _footprint(table, space)
     keys = np.sort(_row_layers(table.offsets)[rows] * space.dim + modes, kind="stable")
     if (keys[1:] == keys[:-1]).any():
@@ -396,7 +396,7 @@ def _netlist(space: ModeSpace, table: ElementTable, source_gates: Sequence[str] 
     if output_relabel is not None:
         output_relabel = tuple(output_relabel)
         relabel = _int_column(list(output_relabel), False, "output relabeling entry")
-        _check_permutation(relabel, space.n_paths, "output relabeling")
+        _check_permutation((relabel,), space.n_paths, "output relabeling")
     for array in (*table[:6], *table.maps):
         array.flags.writeable = False
     vars(net).update(space=space, table=table, source_gates=source_gates,
@@ -557,9 +557,10 @@ def _kernel_rows(netlist: OpticalNetlist) -> tuple[np.ndarray, ...]:
     # The same pol on the other path of a pair, the other pol of a rotator's path.
     p = np.where(splitter | (kind == PBS), (table.a[row] + table.b[row] - path) * w + k,
                  np.where(kind == ROT, t ^ 1, t))
-    for r in np.flatnonzero(table.kind == PERM).tolist():  # moves map.index(d) to d
-        lo, hi = np.searchsorted(row, (r, r + 1))
-        p[lo:hi] = np.argsort(table.maps[table.a[r]])[path[lo:hi]] * w + k[lo:hi]
+    crossing = kind == PERM  # moves map.index(d) to d, from each map's inverse
+    if crossing.any():
+        inverse = np.argsort(np.stack(table.maps), axis=1)
+        p[crossing] = inverse[table.a[row[crossing]], path[crossing]] * w + k[crossing]
     moves = (kind == ROT) | (kind == PERM) | ((kind == PBS) & (k == 1))
     s0 = np.where(moves, p, t)
     c0 = np.where(splitter, np.cos(angle), np.where(moves & (kind == PBS), 1j, 1.0))

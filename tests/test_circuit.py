@@ -125,6 +125,25 @@ class TestParsing:
         assert str(exc_info.value).startswith(f"line {line}:")
 
 
+class TestRepeatedLines:
+    def test_repeated_lines_give_equal_gates(self):
+        text = "qubits 3\nh 0\ncnot 0 1\n  h 0  # again\ncnot 1 0\nphase 2 -0.0\nphase 2 0.0\n" \
+               "cnot 0 1\nphase 2 -0.0\n"
+        assert parse_circuit(text).gates == (
+            h(0), cnot(0, 1), h(0), cnot(1, 0), phase(2, -0.0), phase(2, 0.0), cnot(0, 1),
+            phase(2, -0.0))
+        signs = [math.copysign(1, g.params[0]) for g in parse_circuit(text).gates if g.params]
+        assert signs == [-1, 1, -1]
+
+    def test_repeated_bad_line_reports_its_first_line(self):
+        with pytest.raises(CircuitParseError) as exc_info:
+            parse_circuit("qubits 2\nh 0\nh 5\nh 0\nh 5\n")
+        assert exc_info.value.line == 3
+
+    def test_mnemonics_ignore_case(self):
+        assert parse_circuit("qubits 2\nH 0\nh 0\nCnot 0 1\n").gates == (h(0), h(0), cnot(0, 1))
+
+
 class TestGateValidation:
     def test_operand_count(self):
         with pytest.raises(CircuitError):

@@ -1,5 +1,7 @@
 import json
+from functools import reduce
 from importlib import resources
+from operator import getitem
 
 import pytest
 
@@ -209,6 +211,47 @@ class TestVerify:
         monkeypatch.setattr("photonc.cli.netlist_unitary", too_big)
         assert main(["verify", teleport_qc, teleport_netlist]) == 3
         assert "out of memory" in capsys.readouterr().err
+
+
+class TestMalformedNetlist:
+    def test_deeply_nested_json_is_input_error(self, teleport_qc, tmp_path, capsys):
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        for argv in (["stats", str(nested)], ["verify", teleport_qc, str(nested)]):
+            assert main(argv) == 2
+            assert "invalid netlist JSON: maximum recursion depth" in capsys.readouterr().err
+
+    @staticmethod
+    def two_layers():
+        return {"version": 1, "n_loc": 1, "uses_pol": False,
+                "layers": [[{"type": "bs", "paths": [0, 1], "theta": 0.5}],
+                           [{"type": "ps", "path": 0, "pol": "both", "phi": 0.5}]],
+                "meta": {"source_gates": ["g0: h 0", "g1: phase 0 0.5"]}}
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("meta", "source_gates"), "ab", "source_gates must be a JSON list"),
+        (("layers",), {}, "layers must be a JSON list of element lists"),
+        (("layers", 1), {}, "layers must be a JSON list of element lists"),
+        (("meta",), [], "meta must be a JSON object"),
+        (("layers", 1, 0, "pol"), None, "invalid netlist document: missing key 'pol'"),
+    ], ids=["source-gates-str", "layers-object", "layer-object", "meta-list",
+            "missing-pol"])
+    def test_malformed_fields_are_named(self, tmp_path, capsys, path, value, message):
+        doc = self.two_layers()
+        holder = reduce(getitem, path[:-1], doc)
+        if value is None:
+            del holder[path[-1]]
+        else:
+            holder[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["stats", str(bad)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_well_formed_document_loads(self, tmp_path, capsys):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(self.two_layers()), encoding="utf-8")
+        assert main(["stats", str(good)]) == 0
 
 
 class TestRun:

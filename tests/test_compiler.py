@@ -57,7 +57,7 @@ from photonc.optics import (
 )
 from photonc.statevec import circuit_unitary
 from photonc import compiler
-from photonc.circuit import Gate, GateKind, QuantumCircuit, gate_unitary
+from photonc.circuit import Gate, GateKind, QuantumCircuit, gate_text, gate_unitary
 from conftest import haar_u2, random_assignment, random_circuit, random_gate
 from test_kernel import reference_footprint
 
@@ -421,6 +421,81 @@ def test_rotator_cancellation_keeps_layers_disjoint_and_unitary(case):
         uncancelled = compile_circuit(circuit, asg)
     assert net.n_layers <= uncancelled.n_layers
     assert np.max(np.abs(netlist_unitary(net) - netlist_unitary(uncancelled))) < 1e-12
+
+
+REPEAT_ANGLES = (0.0, -0.0, math.pi, -math.pi / 2, 0.25)
+
+
+@st.composite
+def repetitive_circuits(draw):
+    """A circuit over a pool of a few gates, most of them repeated, with
+    phase and u2 angles among 0.0 and -0.0; an assignment; and options."""
+    n = draw(st.integers(1, 4))
+    pol = draw(st.none() | st.integers(0, n - 1)) if n >= 2 else None
+    order = tuple(draw(st.permutations([q for q in range(n) if q != pol])))
+    kinds = [kind for kind in GateKind if kind.n_qubits <= n]
+    pool = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(kinds))
+        qubits = draw(st.permutations(range(n)))[:kind.n_qubits]
+        pool.append(Gate(kind, qubits, draw(st.lists(st.sampled_from(REPEAT_ANGLES),
+                                                     min_size=kind.n_params,
+                                                     max_size=kind.n_params))))
+    gates = draw(st.lists(st.sampled_from(pool), max_size=16))
+    prune = draw(st.booleans())
+    options = CompileOptions(prune, frozenset({0}) if prune else None, draw(st.booleans()))
+    return QuantumCircuit(n, tuple(gates)), QubitAssignment(n, order, pol), options
+
+
+def compiled_gate_by_gate(circuit, assignment, options):
+    """compile_circuit's netlist with every gate lowered on its own."""
+    layers, notes = [], []
+    for index, gate in enumerate(circuit.gates):
+        gate_layers = compiler._lower_columns(gate, assignment)
+        layers += gate_layers
+        notes += [f"g{index}: {gate_text(gate)}"] * len(gate_layers)
+    layers, notes = compiler._cancel_adjacent_rotators(layers, notes)
+    space = assignment.mode_space()
+    relabel = (compiler._extract_terminal_relabel(layers, notes, space)
+               if options.relabel_terminal_crossings else None)
+    net = compiler._netlist(space, compiler._column_table(layers), notes, relabel)
+    return prune_dead_paths(net, options.input_support) if options.prune else net
+
+
+@given(repetitive_circuits())
+@settings(max_examples=300, deadline=None)
+def test_repeated_gates_compile_as_if_lowered_alone(case):
+    circuit, asg, options = case
+    try:
+        reference = compiled_gate_by_gate(circuit, asg, options)
+    except CompileError:  # h or u2 on the polarization qubit with no location qubit
+        with pytest.raises(CompileError):
+            compile_circuit(circuit, asg, options)
+        return
+    net = compile_circuit(circuit, asg, options)
+    assert net == reference
+    assert netlist_to_json(net) == netlist_to_json(reference)  # angle bits: -0.0 is not 0.0
+
+
+def test_each_distinct_gate_text_lowers_once_per_call(monkeypatch):
+    lowered = []
+    lower = compiler._lower_columns
+
+    def recording(gate, assignment):
+        lowered.append((gate_text(gate), lower(gate, assignment)))
+        return lowered[-1][1]
+
+    monkeypatch.setattr(compiler, "_lower_columns", recording)
+    circ = parse_circuit("qubits 3\npol 2\nh 0\ncnot 0 1\nh 0\nphase 1 0.0\nphase 1 -0.0\n"
+                         "cnot 0 1\nh 0\ncnot 0 2\nx 2\ncnot 0 2\n")
+    distinct = ["h 0", "cnot 0 1", "phase 1 0.0", "phase 1 -0.0", "cnot 0 2", "x 2"]
+    compile_circuit(circ)
+    assert [text for text, _ in lowered] == distinct
+    compile_circuit(circ)  # no memo outlives a call
+    assert [text for text, _ in lowered] == distinct * 2
+    shared = [array for _, columns in lowered for column in columns for array in column
+              if isinstance(array, np.ndarray)]
+    assert shared and not any(array.flags.writeable for array in shared)
 
 
 class TestTerminalRelabel:

@@ -188,6 +188,14 @@ def test_json_matches_stdlib_encoder_across_row_blocks():
     assert netlist_to_json(net) == stdlib_json(net)
 
 
+def test_json_matches_stdlib_encoder_past_a_16_bit_vocabulary():
+    """More distinct paths and angles than a 16-bit grid cell can index."""
+    count = 1 << 16
+    net = OpticalNetlist(ModeSpace(17), ([PhaseShifter(p, p / 7) for p in range(count)],))
+    same = netlist_to_json(net) == stdlib_json(net)  # no diff of two 11 MB texts on failure
+    assert same
+
+
 @settings(max_examples=100, deadline=None)
 @given(netlists())
 def test_kernel_rows_stay_in_footprint(net):

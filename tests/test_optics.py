@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from photonc.circuit import HADAMARD, PAULI_X
+from photonc.compiler import netlist_from_json, netlist_to_json
 from photonc.optics import (
     MAX_PATH_BITS,
     POL_BOTH,
@@ -14,6 +16,7 @@ from photonc.optics import (
     ModeAmplitudes,
     ModeSpace,
     NetlistError,
+    NetlistFormatError,
     OpticalNetlist,
     PhaseShifter,
     PolarizingBeamSplitter,
@@ -239,6 +242,47 @@ class TestElementModes:
         space = ModeSpace(2)
         assert element_modes(BeamSplitter(0, 2), space) == frozenset({0, 2})
         assert element_modes(PhaseShifter(3, 0.5), space) == frozenset({3})
+
+
+SWAP_01 = (1, 0, 2, 3)
+
+
+@pytest.mark.parametrize("bad_map", [
+    (1, 0, 2), (1, 0, 2, 3, 4), (), (1, 1, 2, 3), (1, 0, 2, 4), (-1, 0, 2, 3),
+], ids=["short", "long", "empty", "repeated-entry", "out-of-range", "negative"])
+@pytest.mark.parametrize("first", [True, False], ids=["bad-first", "bad-last"])
+def test_bad_crossing_map_among_good_ones(bad_map, first):
+    # Good maps around the bad one, so a check that stacks every map before
+    # testing their lengths would fail on the stack, not on the map.
+    space = ModeSpace(2)
+    layers = [[Crossing(SWAP_01)], [Crossing(bad_map)], [Crossing((3, 2, 1, 0))]]
+    layers = layers[1:] if first else layers
+    with pytest.raises(NetlistError) as built:
+        OpticalNetlist(space, layers)
+    assert type(built.value) is NetlistError
+    assert str(built.value) == "crossing map must permute all path indices"
+    doc = {"version": 1, "n_loc": 2, "uses_pol": False,
+           "layers": [[element.to_doc() for element in layer] for layer in layers]}
+    with pytest.raises(NetlistFormatError) as loaded:
+        netlist_from_json(json.dumps(doc))
+    assert str(loaded.value) == f"invalid netlist document: {built.value}"
+
+
+def test_identity_crossing_shares_a_layer_with_a_real_one():
+    space = ModeSpace(2, uses_pol=True)
+    layers = [[Crossing((0, 1, 2, 3)), Crossing((0, 1, 3, 2))], [Crossing((0, 1, 2, 3))],
+              [BeamSplitter(2, 3, 0.3), Crossing(SWAP_01), Crossing((0, 1, 2, 3))]]
+    net = OpticalNetlist(space, layers)
+    assert netlist_from_json(netlist_to_json(net)) == net
+    layer, row, mode = net.footprints()
+    assert (layer.tolist(), row.tolist(), mode.tolist()) == (
+        [0, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 2], [1, 1, 1, 1, 3, 3, 3, 3, 4, 4, 4, 4],
+        [4, 5, 6, 7, 4, 5, 6, 7, 0, 1, 2, 3])
+    expected = np.eye(space.dim, dtype=complex)
+    for layer_elements in layers:
+        for element in layer_elements:
+            expected = element_unitary(element, space) @ expected
+    assert np.allclose(netlist_unitary(net), expected, atol=1e-15)
 
 
 class TestNetlist:
