@@ -94,9 +94,13 @@ class Gate:
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        object.__setattr__(self, "qubits", tuple(self.qubits))
         name = self.kind.value
+        if set(map(type, self.qubits)) - {int}:  # a bool or float is refused, never truncated
+            raise CircuitError(f"qubits of {name} must be ints, got {self.qubits!r}")
+        if any(type(p) is bool or not isinstance(p, (int, float)) for p in self.params):
+            raise CircuitError(f"angles of {name} must be numbers, got {self.params!r}")
+        object.__setattr__(self, "params", tuple(map(float, self.params)))
         if len(self.qubits) != self.kind.n_qubits:
             raise CircuitError(
                 f"{name} takes {self.kind.n_qubits} qubit operand(s), got {len(self.qubits)}"
@@ -178,12 +182,13 @@ class QuantumCircuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        if self.n_qubits < 1:
-            raise CircuitError("circuit needs at least one qubit")
+        if type(self.n_qubits) is not int or self.n_qubits < 1:  # a bool or float is refused
+            raise CircuitError(f"qubit count must be an int of at least 1, got {self.n_qubits!r}")
         for gate in self.gates:
             gate.validate_for(self.n_qubits)
-        if self.pol_qubit is not None and not 0 <= self.pol_qubit < self.n_qubits:
-            raise CircuitError(f"pol qubit {self.pol_qubit} out of range")
+        pol = self.pol_qubit
+        if pol is not None and (type(pol) is not int or not 0 <= pol < self.n_qubits):
+            raise CircuitError(f"pol qubit {pol!r} is not an int in range")
 
 
 _PI_LITERAL = re.compile(r"^([+-]?)(\d+(?:\.\d*)?|\.\d+)?pi(?:/(\d+(?:\.\d*)?|\.\d+))?$")

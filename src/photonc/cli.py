@@ -17,21 +17,21 @@ from .circuit import CircuitParseError, QuantumCircuit, parse_circuit
 from .compiler import (
     CompileError,
     CompileOptions,
-    NetlistFormatError,
     QubitAssignment,
     compile_circuit,
     device_stats,
-    netlist_from_json,
-    netlist_to_json,
 )
 from .diagram import render_diagram
-from .equivalence import basis_bridge, bridge_conjugate, global_phase_distance
+from .equivalence import basis_order, global_phase_distance
 from .optics import (
     ModeAmplitudes,
     ModeSpace,
     NetlistError,
+    NetlistFormatError,
     OpticalNetlist,
     SpaceTooLargeError,
+    netlist_from_json,
+    netlist_to_json,
     netlist_unitary,
     propagate,
 )
@@ -78,9 +78,9 @@ def _parse_assignment(text: str, n_qubits: int) -> QubitAssignment:
                 raise _UsageError(f"unknown assignment key {key.strip()!r}")
         except ValueError:
             raise _UsageError(f"bad assignment value in {part!r}") from None
-    if loc is None:
-        loc = tuple(q for q in range(n_qubits) if q != pol)
     try:
+        if loc is None:
+            return QubitAssignment.default(n_qubits, pol)
         return QubitAssignment(n_qubits, loc, pol)
     except CompileError as exc:
         raise _UsageError(str(exc)) from None
@@ -159,8 +159,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"netlist mode space ({netlist.space.n_loc} path bit(s), "
             f"pol={netlist.space.uses_pol}) does not match the circuit assignment"
         )
-    bridge = basis_bridge(assignment)
-    reference = bridge_conjugate(circuit_unitary(circuit), bridge)
+    order = basis_order(assignment)
+    reference = circuit_unitary(circuit)[order][:, order]
     report = global_phase_distance(reference, netlist_unitary(netlist), args.tol)
     print(report)
     return 0 if report.passed else 1

@@ -27,19 +27,17 @@ precision. Each stage is emitted as column layers (Column: one element kind
 on a masked path array, like one column of a Reck or Clements mesh), so a
 gate costs a few array operations, not an object per path. Adjacent rotator
 layers merge to their symmetric difference, trailing crossings can become an
-output-port relabeling, and the columns form one checked ElementTable;
-lower_gate and prepare_* return element views of the same columns.
+output-port relabeling, and the columns form one checked ElementTable
+(optics builds it and owns the JSON format); lower_gate and prepare_*
+return element views of the same columns.
 """
 
 from __future__ import annotations
 
 import cmath
-import json
 import math
-import re
 from dataclasses import dataclass
 from itertools import chain
-from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -56,13 +54,11 @@ from .optics import (
     ROT,
     ElementTable,
     ModeSpace,
-    NetlistFormatError,
     OpticalElement,
     OpticalNetlist,
-    SpaceTooLargeError,
     _POL_FILTERS,
     _netlist,
-    netlist_from_docs,
+    _table,
 )
 
 
@@ -84,15 +80,17 @@ class QubitAssignment:
 
     def __post_init__(self):
         object.__setattr__(self, "location_order", tuple(self.location_order))
+        if type(self.n_qubits) is not int:  # a bool or float is refused, never truncated
+            raise CompileError(f"qubit count {self.n_qubits!r} is not an int")
+        self.mode_space()  # refuses too many path bits before any sequence over the qubits
         claimed = list(self.location_order)
         if self.pol_qubit is not None:
             claimed.append(self.pol_qubit)
-        if type(self.n_qubits) is not int:  # a bool or float is refused, never truncated
-            raise CompileError(f"qubit count {self.n_qubits!r} is not an int")
         for qubit in claimed:
             if type(qubit) is not int:
                 raise CompileError(f"qubit {qubit!r} is not an int")
-        if sorted(claimed) != list(range(self.n_qubits)):
+        # The count first: a range over a huge n_qubits would not fit in memory.
+        if len(claimed) != self.n_qubits or sorted(claimed) != list(range(self.n_qubits)):
             raise CompileError(
                 "assignment must map every qubit exactly once "
                 f"(got {claimed} for {self.n_qubits} qubit(s))"
@@ -100,6 +98,7 @@ class QubitAssignment:
 
     @classmethod
     def default(cls, n_qubits: int, pol_qubit: int | None = None) -> QubitAssignment:
+        ModeSpace(n_qubits - (pol_qubit is not None))  # too wide: refused before the tuple
         order = tuple(q for q in range(n_qubits) if q != pol_qubit)
         return cls(n_qubits, order, pol_qubit)
 
@@ -194,7 +193,7 @@ def decompose_u2(u: np.ndarray) -> U2Decomposition:
     m = np.asarray(u, dtype=complex)
     if m.shape != (2, 2):
         raise CompileError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if np.max(np.abs(m @ m.conj().T - np.eye(2))) > 1e-10:
+    if not np.max(np.abs(m @ m.conj().T - np.eye(2))) <= 1e-10:  # NaN fails too
         raise CompileError("matrix is not unitary")
     a00, a01, a10, a11 = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
     cos_part = (abs(a00) + abs(a11)) / 2.0
@@ -235,25 +234,23 @@ class Column(NamedTuple):
     path_map: np.ndarray | None = None
 
 
-def _column_table(layers: Sequence[Column]) -> ElementTable:
-    """The element table of column layers in order; a crossing's a indexes its map."""
+def _column_table(layers: Sequence[Column], n_paths: int) -> ElementTable:
+    """The element table of column layers in order."""
     counts = np.array([len(layer.a) for layer in layers], dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
     kind = np.repeat(np.array([layer.kind for layer in layers], np.int8), counts)
     pol = np.repeat(np.array([layer.pol for layer in layers], np.int8), counts)
     a = np.concatenate([np.zeros(0, np.int64), *(layer.a for layer in layers)])
     b, angle = np.zeros(len(a), np.int64), np.zeros(len(a))
-    bounds = offsets.tolist()
+    bounds = [0, *np.cumsum(counts).tolist()]
     for layer, lo, hi in zip(layers, bounds, bounds[1:]):
         b[lo:hi], angle[lo:hi] = layer.b, layer.angle
-    maps = tuple(layer.path_map for layer in layers if layer.kind == PERM)
-    a[kind == PERM] = np.arange(len(maps))
-    return ElementTable(kind, a, b, angle, pol, offsets, maps)
+    maps = [layer.path_map for layer in layers if layer.kind == PERM]
+    return _table(kind, a, b, angle, pol, counts, maps, n_paths)
 
 
 def _element_layers(layers: Sequence[Column], space: ModeSpace) -> list[list[OpticalElement]]:
     """Column layers as element objects, the library's form of a lowering."""
-    return [list(layer) for layer in _netlist(space, _column_table(layers)).layers]
+    return [list(layer) for layer in _netlist(space, _column_table(layers, space.n_paths)).layers]
 
 
 def _u2_assembly(dec: U2Decomposition, p0: np.ndarray, p1: np.ndarray) -> list[Column]:
@@ -487,7 +484,7 @@ def compile_circuit(
     layers, notes = _cancel_adjacent_rotators(layers, notes)
     relabel = (_extract_terminal_relabel(layers, notes, space)
                if options.relabel_terminal_crossings else None)
-    netlist = _netlist(space, _column_table(layers), notes, relabel)
+    netlist = _netlist(space, _column_table(layers, space.n_paths), notes, relabel)
     if options.prune:
         assert options.input_support is not None
         netlist = prune_dead_paths(netlist, options.input_support)
@@ -549,7 +546,7 @@ def prepare_location_state(
 ) -> list[list[OpticalElement]]:
     """Layers sending the photon from the all-zeros path into amplitudes
     (a, b) across the path pair of one location qubit."""
-    if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-10:
+    if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-10:  # NaN fails too
         raise CompileError("preparation amplitudes must be normalized")
     if assignment.is_pol(qubit):
         raise CompileError("preparation targets a location qubit")
@@ -565,7 +562,7 @@ def prepare_path_state(amplitudes: Sequence[complex], space: ModeSpace) -> list[
     target = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if target.shape != (space.n_paths,):
         raise CompileError(f"expected {space.n_paths} path amplitudes, got {target.shape[0]}")
-    if abs(np.linalg.norm(target) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(target) - 1.0) <= 1e-10:  # NaN fails too
         raise CompileError("path amplitudes must be normalized")
     layers: list[Column] = []
     for level in range(space.n_loc):
@@ -586,118 +583,3 @@ def prepare_path_state(amplitudes: Sequence[complex], space: ModeSpace) -> list[
         p0 = p0.astype(np.int64)
         layers += _u2_assembly(U2Decomposition(*angles), p0, p0 + half)
     return _element_layers(layers, space)
-
-
-_NEWLINE_INDENT = tuple("\n" + "  " * depth for depth in range(6))
-
-
-def _json_list(items: Iterable[str], depth: int) -> str:
-    """Encoded items as the list json.dumps(indent=2) writes at this depth."""
-    inner = _NEWLINE_INDENT[depth + 1]
-    body = ("," + inner).join(items)
-    return f"[{inner}{body}{_NEWLINE_INDENT[depth]}]" if body else "[]"
-
-
-_PAIR = '"paths": [\n          $a,\n          $b\n        ]'
-_ELEMENT_TEMPLATES = tuple(  # by kind code, to_doc fields split at $slots: literal, slot, ...
-    re.split(r"\$(\w+)", f'{{\n        "type": "{kind.tag}",\n        '
-             + ",\n        ".join(fields) + "\n      }")
-    for kind, fields in zip(ELEMENT_KINDS, (
-        (_PAIR, '"theta": $angle'), ('"path": $a', '"pol": $pol', '"phi": $angle'),
-        ('"path": $a',), (_PAIR,), ('"map": $map',))))
-_JSON_BLOCK = 1 << 13  # element rows turned into text at a time
-
-
-def _layer_gap(prev: int, k: int) -> str:
-    """The layers text after layer prev's last element (after the list's "["
-    when prev is -1) up to item k: close prev, write the layers between as []."""
-    return ("\n    ]," if prev >= 0 else "") + "\n    []," * (k - prev - 1) + "\n    "
-
-
-def _element_blocks(table: ElementTable, starts: list[int]) -> list[str]:
-    """The elements' text, a block of rows a string. Row r of an index grid
-    over a vocabulary of texts is element r's lead (a separator, or the gap
-    and "[" before layer starts[i]) and its kind's template; each distinct
-    path, angle (by its bits: -0.0 is not 0.0), pol and map is written once.
-    The grid's cells are int32 unless the vocabulary needs more."""
-    n = len(table.kind)
-    paths, path_index = np.unique(np.concatenate((table.a, table.b)), return_inverse=True)
-    angles, angle_index = np.unique(table.angle.view(np.int64), return_inverse=True)
-    parts = [
-        ["", ",\n      "],  # pads short rows; separates two elements of a layer
-        [piece for pieces in _ELEMENT_TEMPLATES for piece in (pieces[::2] + ["", ""])[:4]],
-        list(map(int.__repr__, paths.tolist())),
-        list(map(float.__repr__, angles.view(np.float64).tolist())),
-        list(map(_json_string, _POL_FILTERS)),
-        [_json_list(map(int.__repr__, path_map.tolist()), 4) for path_map in table.maps],
-        [_layer_gap(prev, k) + "[\n      " for prev, k in zip([-1, *starts], starts)],
-    ]
-    _, literal, path, angle, pol, maps, lead, size = np.cumsum([0, *map(len, parts)]).tolist()
-    slots = {"a": (path, path_index[:n]), "b": (path, path_index[n:]), "map": (maps, table.a),
-             "angle": (angle, angle_index), "pol": (pol, table.pol.astype(np.int64))}
-    # A row: a lead, three literal/slot pairs, a last literal; int32 halves int64's bytes.
-    grid = np.zeros((n, 8), np.int32 if size < 1 << 31 else np.int64)
-    grid[:, 0] = 1  # the separator, but the lead of each layer's first element
-    grid[table.offsets[starts], 0] = lead + np.arange(len(starts))
-    grid[:, 1::2] = literal + np.arange(4) + 4 * table.kind[:, None]
-    for code, pieces in enumerate(_ELEMENT_TEMPLATES):
-        rows = np.flatnonzero(table.kind == code)
-        for col, slot in enumerate(pieces[1::2], 1):
-            base, values = slots[slot]
-            grid[rows, 2 * col] = base + values[rows]
-    texts = np.array([text for part in parts for text in part], dtype=object)
-    return ["".join(texts.take(grid[i:i + _JSON_BLOCK].reshape(-1)).tolist())
-            for i in range(0, n, _JSON_BLOCK)]
-
-
-def netlist_to_json(netlist: OpticalNetlist) -> str:
-    """Serialize a netlist; floats keep full precision (exact round-trip).
-
-    The text is byte for byte json.dumps(doc, indent=2) + "\n" of {version,
-    n_loc, uses_pol, layers: [[element.to_doc()]], meta: {source_gates,
-    output_relabel?}} over the views of netlist.layers, the tests' reference,
-    with no pure-Python encoder, element object or format per element: the
-    elements are one index grid over a text vocabulary (_element_blocks)."""
-    space, n_layers = netlist.space, netlist.n_layers
-    starts = np.flatnonzero(np.diff(netlist.table.offsets)).tolist()  # the non-empty layers
-    end = _layer_gap(starts[-1] if starts else -1, n_layers).rstrip()[:-1]  # no last ","
-    meta = '"source_gates": ' + _json_list(map(_json_string, netlist.source_gates), 2)
-    if netlist.output_relabel is not None:
-        meta += ',\n    "output_relabel": ' + _json_list(map(int.__repr__, netlist.output_relabel), 2)
-    return "".join([
-        f'{{\n  "version": 1,\n  "n_loc": {space.n_loc:d},\n'
-        f'  "uses_pol": {"true" if space.uses_pol else "false"},\n  "layers": [',
-        *_element_blocks(netlist.table, starts),
-        end + ("\n  ]" if n_layers else "]") + f',\n  "meta": {{\n    {meta}\n  }}\n}}\n',
-    ])
-
-
-def netlist_from_json(text: str) -> OpticalNetlist:
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
-        raise NetlistFormatError(f"invalid netlist JSON: {exc}") from None
-    try:
-        version, n_loc, uses_pol = doc["version"], doc["n_loc"], doc["uses_pol"]
-        if type(version) is not int or version != 1:
-            raise NetlistFormatError(f"unsupported netlist version {version!r}")
-        if type(n_loc) is not int or n_loc < 0:
-            raise NetlistFormatError(f"n_loc must be a non-negative integer, got {n_loc!r}")
-        if type(uses_pol) is not bool:
-            raise NetlistFormatError(f"uses_pol must be true or false, got {uses_pol!r}")
-        space = ModeSpace(n_loc, uses_pol)
-        layers, meta = doc["layers"], doc.get("meta", {})
-        if type(layers) is not list or set(map(type, layers)) - {list}:
-            raise NetlistFormatError("layers must be a JSON list of element lists")
-        if type(meta) is not dict:
-            raise NetlistFormatError("meta must be a JSON object")
-        notes = meta.get("source_gates", [])
-        if type(notes) is not list:
-            raise NetlistFormatError("source_gates must be a JSON list")
-        return netlist_from_docs(space, layers, notes, meta.get("output_relabel"))
-    except (NetlistFormatError, SpaceTooLargeError):
-        raise
-    except KeyError as exc:
-        raise NetlistFormatError(f"invalid netlist document: missing key {exc}") from None
-    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
-        raise NetlistFormatError(f"invalid netlist document: {exc}") from None

@@ -61,6 +61,17 @@ def state_fidelity(reference, candidate) -> float:
     return float(abs(np.vdot(u, v)) ** 2)
 
 
+def basis_order(assignment: QubitAssignment) -> np.ndarray:
+    """The basis index of each photon mode (the basis indices' bit axes in
+    mode bit order), so u[order][:, order] is u on the modes, no dim^2 bridge."""
+    space = assignment.mode_space()
+    n = assignment.n_qubits
+    if space.dim != 1 << n:
+        raise ValueError("assignment mode space does not match the qubit dimension")
+    pol = () if assignment.pol_qubit is None else (assignment.pol_qubit,)
+    return np.arange(1 << n).reshape((2,) * n).transpose((*assignment.location_order, *pol)).ravel()
+
+
 def basis_bridge(assignment: QubitAssignment) -> np.ndarray:
     """Permutation matrix P with P[mode, basis_index] = 1.
 
@@ -68,22 +79,9 @@ def basis_bridge(assignment: QubitAssignment) -> np.ndarray:
     are photon modes; bridging lets netlist and circuit unitaries be
     compared entry for entry:  netlist_unitary ~ P . circuit_unitary . P^T.
     """
-    space = assignment.mode_space()
-    dim = 1 << assignment.n_qubits
-    if space.dim != dim:
-        raise ValueError("assignment mode space does not match the qubit dimension")
-    bridge = np.zeros((dim, dim))
-    for index in range(dim):
-        path = 0
-        for position, qubit in enumerate(assignment.location_order):
-            bit = (index >> (assignment.n_qubits - 1 - qubit)) & 1
-            path |= bit << (assignment.n_loc - 1 - position)
-        if assignment.pol_qubit is not None:
-            pol_bit = (index >> (assignment.n_qubits - 1 - assignment.pol_qubit)) & 1
-            mode = path * 2 + pol_bit
-        else:
-            mode = path
-        bridge[mode, index] = 1.0
+    order = basis_order(assignment)
+    bridge = np.zeros((len(order), len(order)))
+    bridge[np.arange(len(order)), order] = 1.0
     return bridge
 
 

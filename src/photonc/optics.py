@@ -34,21 +34,23 @@ A netlist's only storage is one read-only ElementTable, a row per element in
 netlist order: kind (int8, the class's index in ELEMENT_KINDS), paths a and
 b (int64), angle (float64) and pol (int8, a phase shifter filter's index in
 (H, V, both), else both), 0 where a kind has no such field; CSR offsets,
-layer i being rows offsets[i]:offsets[i+1]; and the crossing maps, indexed
-by a crossing's a. One table, not a block per kind, keeps the element order
+layer i being rows offsets[i]:offsets[i+1]; and the crossing maps, one
+(crossings, n_paths) int64 array whose row k is the map of the crossing
+whose a is k. One table, not a block per kind, keeps the element order
 inside a layer that the JSON text and net.layers follow. Angles are float64,
 so a library-built int angle 2 is stored and written as 2.0, as loaded.
 
-One vectorized checker, _check, validates every table: packed by the
-constructor from element objects after exact-type checks on each value,
-decoded by netlist_from_docs straight from JSON element documents, or
-concatenated by the compiler from its column layers. It checks path ranges,
-distinct pairs, polarized-only kinds, finite angles, crossing maps (their
-lengths, then one row sort of their stack) and disjoint layers by one sort
-of (layer, mode) keys; _netlist also refuses a source gate that is not a str.
-Element objects are views that net.layers, net.elements(), element_modes
-and element_unitary build on demand; the kernel, stats, pruning, diagram
-and JSON writer read the columns.
+One builder, _table, makes every table (offsets, crossing numbers, maps
+checked to permute the paths) for one decoder of element documents, _decode
+(the JSON loader's, and the constructor's from each element's to_doc()), the
+compiler's columns and subset; then one vectorized checker, _check, checks
+path ranges, distinct pairs, polarized-only kinds, finite angles and
+disjoint layers by one sort of (layer, mode) keys (and _netlist refuses a
+source gate that is not a str). Element objects are views that net.layers,
+net.elements(), element_modes and element_unitary build on demand; the
+kernel, stats, pruning, diagram and JSON writer read the columns. The JSON
+format lives here: each kind's keys are spelled in its to_doc and in
+_DOC_KEYS, which the decoder and the writer both read.
 
 A layer (disjoint 2x2 blocks, phases and path swaps, like a column of a Reck
 or Clements mesh) applies as one gather update x[t] = c0*x[s0] + c1*x[s1]
@@ -63,10 +65,13 @@ through tests against the circuit module's HADAMARD and PAULI_X constants.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, fields
+import re
+from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter, itemgetter
+from json.encoder import encode_basestring_ascii as _json_string
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -115,8 +120,10 @@ class ModeSpace:
         if self.n_loc < 0:
             raise NetlistError("negative location qubit count")
         if self.n_loc > MAX_PATH_BITS:
+            # 2^n_loc in decimal only while short: Python writes no int of 4300+ digits.
+            paths = f"2^{self.n_loc}" + (f" = {1 << self.n_loc}" if self.n_loc < 64 else "")
             raise SpaceTooLargeError(
-                f"{self.n_loc} path bits give 2^{self.n_loc} = {1 << self.n_loc} paths; "
+                f"{self.n_loc} path bits give {paths} paths; "
                 f"at most {MAX_PATH_BITS} path bits ({1 << MAX_PATH_BITS} paths) are supported"
             )
 
@@ -239,12 +246,14 @@ ELEMENT_KINDS = (BeamSplitter, PhaseShifter, Rotator, PolarizingBeamSplitter, Cr
 BS, PS, ROT, PBS, PERM = range(len(ELEMENT_KINDS))  # the codes of the kind column
 POL_CODE_BOTH = _POL_FILTERS.index(POL_BOTH)
 _POL_CODE = {pol: code for code, pol in enumerate(_POL_FILTERS)}
-_KIND_CODE = {kind: code for code, kind in enumerate(ELEMENT_KINDS)}
 _TAG_CODE = {kind.tag: code for code, kind in enumerate(ELEMENT_KINDS)}
-# The column each field of a kind fills, in dataclass field order, and the
-# keys of its JSON document holding those fields ("paths" holds a and b).
+# The column each constructor field of a kind fills, in dataclass field order.
 _FIELD_COLUMNS = (("a", "b", "angle"), ("a", "angle", "pol"), ("a",), ("a", "b"), ("map",))
-_DOC_KEYS = (("paths", "theta"), ("path", "phi", "pol"), ("path",), ("paths",), ("map",))
+# Each kind's JSON keys after "type", in to_doc order, and the column each
+# fills ("ab": the two paths "paths" lists); the decoder and writer read it.
+_DOC_KEYS = ((("paths", "ab"), ("theta", "angle")),
+             (("path", "a"), ("pol", "pol"), ("phi", "angle")),
+             (("path", "a"),), (("paths", "ab"),), (("map", "map"),))
 
 
 class ElementTable(NamedTuple):
@@ -256,7 +265,7 @@ class ElementTable(NamedTuple):
     angle: np.ndarray
     pol: np.ndarray
     offsets: np.ndarray
-    maps: tuple[np.ndarray, ...]
+    maps: np.ndarray
 
 
 def _int_column(values: list, from_json: bool, what: str = "path") -> np.ndarray:
@@ -285,55 +294,56 @@ def _pol_column(values: list, from_json: bool) -> np.ndarray:
     return np.array(codes, dtype=np.int8)
 
 
-_PARSE = {"a": _int_column, "b": _int_column, "angle": _angle_column, "pol": _pol_column}
+_PARSE = {"a": _int_column, "angle": _angle_column, "pol": _pol_column}
 
 
-def _pack(codes: list[int], items: list, counts: list[int], field_values,
-          from_json: bool = False) -> ElementTable:
-    """The table of items of these kind codes, counts[i] of them in layer i;
-    field_values(code, items) lists the values of each field of the kind."""
-    kind = np.array(codes, dtype=np.int8)
-    n = len(codes)
+def _permutations(rows: Sequence, n_paths: int, name: str) -> np.ndarray:
+    """The rows as one (len(rows), n_paths) int64 array; raises unless each
+    permutes range(n_paths): a length test, then one row sort."""
+    if set(map(len, rows)) - {n_paths}:
+        raise NetlistError(f"{name} must permute all path indices")
+    stack = np.array(rows, dtype=np.int64).reshape(len(rows), n_paths)
+    if (np.sort(stack, axis=1) != np.arange(n_paths)).any():
+        raise NetlistError(f"{name} must permute all path indices")
+    return stack
+
+
+def _table(kind: np.ndarray, a: np.ndarray, b: np.ndarray, angle: np.ndarray, pol: np.ndarray,
+           counts: Sequence[int], maps: Sequence, n_paths: int) -> ElementTable:
+    """The one way an ElementTable is made: counts[i] rows in layer i, each
+    crossing's a (written in place) the row of its map in the checked maps."""
+    a[kind == PERM] = np.arange(len(maps))
+    offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    maps = _permutations(maps, n_paths, "crossing map")
+    return ElementTable(kind, a, b, angle, pol, offsets, maps)
+
+
+def _decode(layers: list, n_paths: int, from_json: bool) -> ElementTable:
+    """The table of layers of element documents (to_doc() form); a field of
+    the wrong type raises NetlistFormatError when from_json, else NetlistError."""
+    docs = list(chain.from_iterable(layers))
+    codes = list(map(_TAG_CODE.get, map(itemgetter("type"), docs)))
+    if None in codes:
+        raise NetlistFormatError(f"unknown element type {docs[codes.index(None)].get('type')!r}")
+    kind, n = np.array(codes, dtype=np.int8), len(docs)
     columns = {"a": np.zeros(n, np.int64), "b": np.zeros(n, np.int64), "angle": np.zeros(n),
                "pol": np.full(n, POL_CODE_BOTH, np.int8)}
-    maps: list[np.ndarray] = []
-    for code, names in enumerate(_FIELD_COLUMNS):
+    for code, keys in enumerate(_DOC_KEYS):  # the last kind, PERM, sets maps
         rows = np.flatnonzero(kind == code)
-        group = list(map(items.__getitem__, rows.tolist()))
-        for name, values in zip(names, field_values(code, group)):
-            if name == "map":
+        group = list(map(docs.__getitem__, rows.tolist()))
+        for key, column in keys:
+            values = list(map(itemgetter(key), group))
+            if column == "map":
                 maps = [_int_column(list(m), from_json, "crossing map entry") for m in values]
-                columns["a"][rows] = np.arange(len(maps))
+            elif column != "ab":
+                columns[column][rows] = _PARSE[column](values, from_json)
+            elif set(map(len, values)) - {2}:
+                bad = next(p for p in values if len(p) != 2)
+                raise NetlistFormatError(f"paths must list exactly two paths, got {bad!r}")
             else:
-                columns[name][rows] = _PARSE[name](values, from_json)
-    offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-    return ElementTable(kind, *columns.values(), offsets, tuple(maps))
-
-
-def _element_fields(code: int, elements: list) -> list[list]:
-    return [list(map(attrgetter(f.name), elements)) for f in fields(ELEMENT_KINDS[code])]
-
-
-def _doc_fields(code: int, docs: list) -> list[list]:
-    values = []
-    for key in _DOC_KEYS[code]:
-        column = list(map(itemgetter(key), docs))
-        if key != "paths":
-            values.append(column)
-        elif set(map(len, column)) - {2}:
-            bad = next(p for p in column if len(p) != 2)
-            raise NetlistFormatError(f"paths must list exactly two paths, got {bad!r}")
-        else:
-            values += [list(map(itemgetter(0), column)), list(map(itemgetter(1), column))]
-    return values
-
-
-def _check_permutation(maps: Sequence[np.ndarray], n_paths: int, name: str) -> None:
-    """Raise unless every map permutes range(n_paths): a length test, then
-    one sort of the maps' (k, n_paths) stack."""
-    if set(map(len, maps)) - {n_paths} or maps and (
-            np.sort(np.stack(maps), axis=1) != np.arange(n_paths)).any():
-        raise NetlistError(f"{name} must permute all path indices")
+                columns["a"][rows] = _int_column(list(map(itemgetter(0), values)), from_json)
+                columns["b"][rows] = _int_column(list(map(itemgetter(1), values)), from_json)
+    return _table(kind, *columns.values(), list(map(len, layers)), maps, n_paths)
 
 
 def _footprint(table: ElementTable, space: ModeSpace) -> tuple[np.ndarray, np.ndarray]:
@@ -346,12 +356,9 @@ def _footprint(table: ElementTable, space: ModeSpace) -> tuple[np.ndarray, np.nd
             r = np.flatnonzero(acts & ((pol == POL_CODE_BOTH) | (pol == k)))
             rows.append(r)
             modes.append(path[r] * w + k)
-    if table.maps:  # a checked table's maps all have n_paths entries
-        crossings = np.flatnonzero(kind == PERM)
-        moves = np.stack(table.maps) != np.arange(space.n_paths)
-        crossing, moved = np.nonzero(moves[table.a[crossings]])
-        rows += [crossings[crossing]] * w
-        modes += [moved * w + k for k in range(w)]
+    crossing, moved = np.nonzero(table.maps != np.arange(space.n_paths))
+    rows += [np.flatnonzero(kind == PERM)[crossing]] * w
+    modes += [moved * w + k for k in range(w)]
     return np.concatenate(rows), np.concatenate(modes)
 
 
@@ -360,7 +367,8 @@ def _row_layers(offsets: np.ndarray) -> np.ndarray:
 
 
 def _check(space: ModeSpace, table: ElementTable) -> None:
-    """Every rule of the module docstring, on the whole table at once."""
+    """Every rule of the module docstring that _table has not checked, on the
+    whole table at once."""
     n, kind = space.n_paths, table.kind
     paired = (kind == BS) | (kind == PBS)
     for column, acts in ((table.a, kind != PERM), (table.b, paired)):
@@ -374,7 +382,6 @@ def _check(space: ModeSpace, table: ElementTable) -> None:
     finite = np.isfinite(table.angle)
     if not finite.all():
         raise NetlistError(f"angle must be a finite number, got {table.angle[~finite][0]}")
-    _check_permutation(table.maps, n, "crossing map")
     rows, modes = _footprint(table, space)
     keys = np.sort(_row_layers(table.offsets)[rows] * space.dim + modes, kind="stable")
     if (keys[1:] == keys[:-1]).any():
@@ -396,25 +403,12 @@ def _netlist(space: ModeSpace, table: ElementTable, source_gates: Sequence[str] 
     if output_relabel is not None:
         output_relabel = tuple(output_relabel)
         relabel = _int_column(list(output_relabel), False, "output relabeling entry")
-        _check_permutation((relabel,), space.n_paths, "output relabeling")
-    for array in (*table[:6], *table.maps):
+        _permutations([relabel], space.n_paths, "output relabeling")
+    for array in table:
         array.flags.writeable = False
     vars(net).update(space=space, table=table, source_gates=source_gates,
                      output_relabel=output_relabel)
     return net
-
-
-def netlist_from_docs(space: ModeSpace, layer_docs: list, source_gates: Sequence[str] = (),
-                      output_relabel: Sequence[int] | None = None) -> OpticalNetlist:
-    """The netlist of decoded JSON layers of element documents (to_doc()
-    form), decoded into the table with no element object: a field of the
-    wrong JSON type raises NetlistFormatError, the rest NetlistError."""
-    docs = list(chain.from_iterable(layer_docs))
-    codes = list(map(_TAG_CODE.get, map(itemgetter("type"), docs)))
-    if None in codes:
-        raise NetlistFormatError(f"unknown element type {docs[codes.index(None)].get('type')!r}")
-    table = _pack(codes, docs, list(map(len, layer_docs)), _doc_fields, from_json=True)
-    return _netlist(space, table, source_gates, output_relabel)
 
 
 def element_modes(element: OpticalElement, space: ModeSpace) -> frozenset[int]:
@@ -478,24 +472,18 @@ class OpticalNetlist:
     def __init__(self, space: ModeSpace, layers: Iterable[Iterable[OpticalElement]],
                  source_gates: Sequence[str] = (), output_relabel: Sequence[int] | None = None):
         layers = [tuple(layer) for layer in layers]
-        elements = list(chain.from_iterable(layers))
-        codes = list(map(_KIND_CODE.get, map(type, elements)))
-        if None in codes:  # a subclass of a kind, or no element at all
-            codes = [next((c for c, k in enumerate(ELEMENT_KINDS) if isinstance(e, k)), None)
-                     for e in elements]
-        if None in codes:
-            raise NetlistError(f"unknown element {elements[codes.index(None)]!r}")
-        table = _pack(codes, elements, list(map(len, layers)), _element_fields)
-        _netlist(space, table, source_gates, output_relabel, self)
+        for element in chain.from_iterable(layers):
+            if not isinstance(element, ELEMENT_KINDS):
+                raise NetlistError(f"unknown element {element!r}")
+        docs = [[element.to_doc() for element in layer] for layer in layers]
+        _netlist(space, _decode(docs, space.n_paths, False), source_gates, output_relabel, self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OpticalNetlist):
             return NotImplemented
-        # Equal kind columns hold as many crossings, so as many maps.
         return (self.space, self.source_gates, self.output_relabel) == (
             other.space, other.source_gates, other.output_relabel) and all(map(
-                np.array_equal, (*self.table[:6], *self.table.maps),
-                (*other.table[:6], *other.table.maps)))
+                np.array_equal, self.table, other.table))
 
     @property
     def n_elements(self) -> int:
@@ -516,8 +504,8 @@ class OpticalNetlist:
         t = self.table
         values = {"a": t.a.tolist(), "b": t.b.tolist(), "angle": t.angle.tolist(),
                   "pol": [_POL_FILTERS[pol] for pol in t.pol.tolist()]}
-        values["map"] = [tuple(t.maps[a].tolist()) if kind == PERM else None
-                         for kind, a in zip(t.kind.tolist(), values["a"])]
+        crossings = np.flatnonzero(t.kind == PERM).tolist()  # row k of the maps is crossing k's
+        values["map"] = dict(zip(crossings, map(tuple, t.maps.tolist())))
         for row, kind in enumerate(t.kind.tolist()):
             yield ELEMENT_KINDS[kind](*(values[name][row] for name in _FIELD_COLUMNS[kind]))
 
@@ -533,12 +521,8 @@ class OpticalNetlist:
         dropped with their annotations."""
         t = self.table
         counts = np.bincount(_row_layers(t.offsets)[keep], minlength=self.n_layers)
-        kept_maps = t.a[keep & (t.kind == PERM)]
-        a = t.a[keep]
-        a[t.kind[keep] == PERM] = np.arange(len(kept_maps))
-        table = ElementTable(t.kind[keep], a, t.b[keep], t.angle[keep], t.pol[keep],
-                             np.concatenate(([0], np.cumsum(counts[counts > 0]))),
-                             tuple(t.maps[i] for i in kept_maps.tolist()))
+        table = _table(t.kind[keep], t.a[keep], t.b[keep], t.angle[keep], t.pol[keep],
+                       counts[counts > 0], t.maps[t.a[keep & (t.kind == PERM)]], self.space.n_paths)
         notes = [note for note, count in zip(self.source_gates, counts.tolist()) if count]
         return _netlist(self.space, table, notes, self.output_relabel)
 
@@ -558,9 +542,8 @@ def _kernel_rows(netlist: OpticalNetlist) -> tuple[np.ndarray, ...]:
     p = np.where(splitter | (kind == PBS), (table.a[row] + table.b[row] - path) * w + k,
                  np.where(kind == ROT, t ^ 1, t))
     crossing = kind == PERM  # moves map.index(d) to d, from each map's inverse
-    if crossing.any():
-        inverse = np.argsort(np.stack(table.maps), axis=1)
-        p[crossing] = inverse[table.a[row[crossing]], path[crossing]] * w + k[crossing]
+    inverse = np.argsort(table.maps, axis=1)
+    p[crossing] = inverse[table.a[row[crossing]], path[crossing]] * w + k[crossing]
     moves = (kind == ROT) | (kind == PERM) | ((kind == PBS) & (k == 1))
     s0 = np.where(moves, p, t)
     c0 = np.where(splitter, np.cos(angle), np.where(moves & (kind == PBS), 1j, 1.0))
@@ -599,3 +582,118 @@ def netlist_unitary(netlist: OpticalNetlist) -> np.ndarray:
     """Dense unitary of the whole netlist, output relabeling included: the
     identity streamed through the layer kernels, O(layers * dim^2)."""
     return _stream(np.eye(netlist.space.dim, dtype=complex), netlist)
+
+
+_NEWLINE_INDENT = tuple("\n" + "  " * depth for depth in range(6))
+
+
+def _json_list(items: Iterable[str], depth: int) -> str:
+    """Encoded items as the list json.dumps(indent=2) writes at this depth."""
+    inner = _NEWLINE_INDENT[depth + 1]
+    body = ("," + inner).join(items)
+    return f"[{inner}{body}{_NEWLINE_INDENT[depth]}]" if body else "[]"
+
+
+_PAIR = "[\n          $a,\n          $b\n        ]"  # the "ab" column: a list of the two paths
+_ELEMENT_TEMPLATES = tuple(  # by kind code, a document split at its $slots: literal, slot, ...
+    re.split(r"\$(\w+)", f'{{\n        "type": "{kind.tag}",\n        ' + ",\n        ".join(
+        f'"{key}": ' + (_PAIR if column == "ab" else f"${column}") for key, column in keys)
+        + "\n      }")
+    for kind, keys in zip(ELEMENT_KINDS, _DOC_KEYS))
+_JSON_BLOCK = 1 << 13  # element rows turned into text at a time
+
+
+def _layer_gap(prev: int, k: int) -> str:
+    """The layers text after layer prev's last element (after the list's "["
+    when prev is -1) up to item k: close prev, write the layers between as []."""
+    return ("\n    ]," if prev >= 0 else "") + "\n    []," * (k - prev - 1) + "\n    "
+
+
+def _element_blocks(table: ElementTable, starts: list[int]) -> list[str]:
+    """The elements' text, a block of rows a string. Row r of an index grid
+    over a vocabulary of texts is element r's lead (a separator, or the gap
+    and "[" before layer starts[i]) and its kind's template; each distinct
+    path, angle (by its bits: -0.0 is not 0.0), pol and map is written once.
+    The grid's cells are int32 unless the vocabulary needs more."""
+    n = len(table.kind)
+    paths, path_index = np.unique(np.concatenate((table.a, table.b)), return_inverse=True)
+    angles, angle_index = np.unique(table.angle.view(np.int64), return_inverse=True)
+    parts = [
+        ["", ",\n      "],  # pads short rows; separates two elements of a layer
+        [piece for pieces in _ELEMENT_TEMPLATES for piece in (pieces[::2] + ["", ""])[:4]],
+        list(map(int.__repr__, paths.tolist())),
+        list(map(float.__repr__, angles.view(np.float64).tolist())),
+        list(map(_json_string, _POL_FILTERS)),
+        [_json_list(map(int.__repr__, path_map.tolist()), 4) for path_map in table.maps],
+        [_layer_gap(prev, k) + "[\n      " for prev, k in zip([-1, *starts], starts)],
+    ]
+    _, literal, path, angle, pol, maps, lead, size = np.cumsum([0, *map(len, parts)]).tolist()
+    slots = {"a": (path, path_index[:n]), "b": (path, path_index[n:]), "map": (maps, table.a),
+             "angle": (angle, angle_index), "pol": (pol, table.pol.astype(np.int64))}
+    # A row: a lead, three literal/slot pairs, a last literal; int32 halves int64's bytes.
+    grid = np.zeros((n, 8), np.int32 if size < 1 << 31 else np.int64)
+    grid[:, 0] = 1  # the separator, but the lead of each layer's first element
+    grid[table.offsets[starts], 0] = lead + np.arange(len(starts))
+    grid[:, 1::2] = literal + np.arange(4) + 4 * table.kind[:, None]
+    for code, pieces in enumerate(_ELEMENT_TEMPLATES):
+        rows = np.flatnonzero(table.kind == code)
+        for col, slot in enumerate(pieces[1::2], 1):
+            base, values = slots[slot]
+            grid[rows, 2 * col] = base + values[rows]
+    texts = np.array([text for part in parts for text in part], dtype=object)
+    return ["".join(texts.take(grid[i:i + _JSON_BLOCK].reshape(-1)).tolist())
+            for i in range(0, n, _JSON_BLOCK)]
+
+
+def netlist_to_json(netlist: OpticalNetlist) -> str:
+    """Serialize a netlist; floats keep full precision (exact round-trip).
+
+    The text is byte for byte json.dumps(doc, indent=2) + "\n" of {version,
+    n_loc, uses_pol, layers: [[element.to_doc()]], meta: {source_gates,
+    output_relabel?}} over the views of netlist.layers, the tests' reference,
+    with no pure-Python encoder, element object or format per element: the
+    elements are one index grid over a text vocabulary (_element_blocks)."""
+    space, n_layers = netlist.space, netlist.n_layers
+    starts = np.flatnonzero(np.diff(netlist.table.offsets)).tolist()  # the non-empty layers
+    end = _layer_gap(starts[-1] if starts else -1, n_layers).rstrip()[:-1]  # no last ","
+    meta = '"source_gates": ' + _json_list(map(_json_string, netlist.source_gates), 2)
+    if netlist.output_relabel is not None:
+        meta += ',\n    "output_relabel": ' + _json_list(map(int.__repr__, netlist.output_relabel), 2)
+    return "".join([
+        f'{{\n  "version": 1,\n  "n_loc": {space.n_loc:d},\n'
+        f'  "uses_pol": {"true" if space.uses_pol else "false"},\n  "layers": [',
+        *_element_blocks(netlist.table, starts),
+        end + ("\n  ]" if n_layers else "]") + f',\n  "meta": {{\n    {meta}\n  }}\n}}\n',
+    ])
+
+
+def netlist_from_json(text: str) -> OpticalNetlist:
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
+        raise NetlistFormatError(f"invalid netlist JSON: {exc}") from None
+    try:
+        version, n_loc, uses_pol = doc["version"], doc["n_loc"], doc["uses_pol"]
+        if type(version) is not int or version != 1:
+            raise NetlistFormatError(f"unsupported netlist version {version!r}")
+        if type(n_loc) is not int or n_loc < 0:
+            raise NetlistFormatError(f"n_loc must be a non-negative integer, got {n_loc!r}")
+        if type(uses_pol) is not bool:
+            raise NetlistFormatError(f"uses_pol must be true or false, got {uses_pol!r}")
+        space = ModeSpace(n_loc, uses_pol)
+        layers, meta = doc["layers"], doc.get("meta", {})
+        if type(layers) is not list or set(map(type, layers)) - {list}:
+            raise NetlistFormatError("layers must be a JSON list of element lists")
+        if type(meta) is not dict:
+            raise NetlistFormatError("meta must be a JSON object")
+        notes = meta.get("source_gates", [])
+        if type(notes) is not list:
+            raise NetlistFormatError("source_gates must be a JSON list")
+        table = _decode(layers, space.n_paths, True)
+        return _netlist(space, table, notes, meta.get("output_relabel"))
+    except (NetlistFormatError, SpaceTooLargeError):
+        raise
+    except KeyError as exc:
+        raise NetlistFormatError(f"invalid netlist document: missing key {exc}") from None
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+        raise NetlistFormatError(f"invalid netlist document: {exc}") from None

@@ -81,7 +81,7 @@ class ScenarioReport:
 
     def __post_init__(self):
         total = sum(r.probability for r in self.readings)
-        if abs(total - 1.0) > _PROB_SUM_TOL:
+        if not abs(total - 1.0) <= _PROB_SUM_TOL:  # NaN fails too
             raise ValueError(f"detector probabilities sum to {total!r}, expected 1")
 
     def as_text(self) -> str:
@@ -194,7 +194,7 @@ def demo_teleport(alpha: complex, beta: complex, prune: bool = True) -> Scenario
     """Prepare (alpha, beta) on the input path pair, run the teleport
     netlist, and read out every heralded branch of the output qubit."""
     alpha, beta = complex(alpha), complex(beta)
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-10:
+    if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-10:  # NaN fails too
         raise ValueError("teleport input amplitudes must be normalized")
     circuit = teleport_circuit()
     assignment = QubitAssignment.for_circuit(circuit)

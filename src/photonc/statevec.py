@@ -40,7 +40,7 @@ class StateVector:
                 f"expected {1 << self.n_qubits} amplitudes, got {self.amplitudes.shape[0]}"
             )
         norm = float(np.linalg.norm(self.amplitudes))
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:  # NaN fails too
             raise ValueError(f"state norm {norm} is not 1")
 
     @classmethod
@@ -65,9 +65,9 @@ class DensityMatrix:
         self.entries = np.array(self.entries, dtype=complex)
         if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
             raise ValueError("density matrix must be square")
-        if np.max(np.abs(self.entries - self.entries.conj().T)) > 1e-12:
+        if not np.max(np.abs(self.entries - self.entries.conj().T)) <= 1e-12:  # NaN fails too
             raise ValueError("density matrix must be hermitian")
-        if abs(np.trace(self.entries).real - 1.0) > 1e-10:
+        if not abs(np.trace(self.entries).real - 1.0) <= 1e-10:
             raise ValueError("density matrix trace must be 1")
         if float(np.linalg.eigvalsh(self.entries).min()) < -1e-10:
             raise ValueError("density matrix must be positive semidefinite")

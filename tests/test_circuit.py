@@ -167,6 +167,22 @@ class TestGateValidation:
         with pytest.raises(CircuitError):
             Gate(GateKind.PHASE, (0,), (float("inf"),))
 
+    @pytest.mark.parametrize("build", [
+        lambda: Gate(GateKind.H, (1.9,)), lambda: Gate(GateKind.H, (True,)),
+        lambda: Gate(GateKind.PHASE, (0,), ("1.5",)), lambda: Gate(GateKind.PHASE, (0,), (True,)),
+        lambda: QuantumCircuit(2.0), lambda: QuantumCircuit(True),
+        lambda: QuantumCircuit(2, (), 1.5), lambda: QuantumCircuit(2, (), True),
+    ], ids=["float-qubit", "bool-qubit", "str-angle", "bool-angle", "float-count", "bool-count",
+            "float-pol", "bool-pol"])
+    def test_input_is_refused_never_coerced(self, build):
+        # Gate(GateKind.H, (1.9,)) used to become h 1, and "1.5" was parsed.
+        with pytest.raises(CircuitError):
+            build()
+
+    def test_int_angles_are_stored_as_floats(self):
+        assert Gate(GateKind.PHASE, (0,), (2,)).params == (2.0,)
+        assert type(Gate(GateKind.PHASE, (0,), (np.float64(0.5),)).params[0]) is float
+
     def test_validate_for(self):
         cnot(0, 3).validate_for(4)
         with pytest.raises(CircuitError):

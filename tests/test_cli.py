@@ -204,6 +204,29 @@ class TestVerify:
             assert main(argv) == 2
             assert "2^40 = 1099511627776 paths" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_qubits", [100_000, 10**12])
+    def test_wide_qubits_line_is_refused_at_once(self, n_qubits, teleport_netlist, tmp_path,
+                                                  capsys):
+        # 2^100000 used to overflow the int-to-str limit (exit 3), and a
+        # list of 10^12 qubits ran out of memory.
+        wide = tmp_path / "wide.qc"
+        wide.write_text(f"qubits {n_qubits}\nh 0\n", encoding="utf-8")
+        for argv, n_loc in ((["compile", str(wide)], n_qubits),
+                            (["compile", str(wide), "--assignment", "pol=1"], n_qubits - 1),
+                            (["verify", str(wide), teleport_netlist], n_qubits)):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"error: {n_loc} path bits give 2^{n_loc} paths; at most 20" in captured.err
+
+    @pytest.mark.parametrize("n_loc", [100_000, 10**12])
+    def test_wide_netlist_is_refused_at_once(self, n_loc, tmp_path, capsys):
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({"version": 1, "n_loc": n_loc, "uses_pol": False,
+                                    "layers": []}), encoding="utf-8")
+        assert main(["stats", str(wide)]) == 2
+        assert f"error: {n_loc} path bits give 2^{n_loc} paths;" in capsys.readouterr().err
+
     def test_out_of_memory_is_exit_3(self, teleport_qc, teleport_netlist, monkeypatch, capsys):
         def too_big(netlist):
             raise MemoryError
@@ -374,6 +397,12 @@ class TestDemo:
 
     def test_teleport_rejects_unnormalized(self, capsys):
         assert main(["demo", "teleport", "--alpha", "1", "--beta", "1"]) == 2
+
+    def test_teleport_rejects_nan(self, capsys):
+        # It used to exit 0, printing fidelity = nan for each herald.
+        assert main(["demo", "teleport", "--alpha", "nan", "--beta", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be normalized" in captured.err
 
     def test_teleport_rejects_bad_literal(self, capsys):
         assert main(["demo", "teleport", "--alpha", "zz"]) == 2

@@ -27,15 +27,12 @@ from photonc.compiler import (
     _DEGENERATE,
     CompileError,
     CompileOptions,
-    NetlistFormatError,
     QubitAssignment,
     U2Decomposition,
     compile_circuit,
     decompose_u2,
     device_stats,
     lower_gate,
-    netlist_from_json,
-    netlist_to_json,
     prepare_location_state,
     prepare_path_state,
     prune_dead_paths,
@@ -48,10 +45,14 @@ from photonc.optics import (
     ModeAmplitudes,
     ModeSpace,
     NetlistError,
+    NetlistFormatError,
     OpticalNetlist,
     PhaseShifter,
     PolarizingBeamSplitter,
     Rotator,
+    SpaceTooLargeError,
+    netlist_from_json,
+    netlist_to_json,
     netlist_unitary,
     propagate,
 )
@@ -115,6 +116,18 @@ class TestQubitAssignment:
             QubitAssignment(2, (0, 0), 1)
         with pytest.raises(CompileError):
             QubitAssignment(2, (0, 1), 1)
+
+    @pytest.mark.parametrize("build", [
+        lambda: QubitAssignment.default(10**12), lambda: QubitAssignment.default(10**12, 5),
+        lambda: QubitAssignment(21, tuple(range(21))),
+    ], ids=["default", "default-pol", "21-bits"])
+    def test_too_many_path_bits_are_refused_before_any_qubit_list(self, build):
+        with pytest.raises(SpaceTooLargeError, match=r"path bits give 2\^\d+ "):
+            build()
+
+    def test_short_cover_of_a_huge_count_is_refused_at_once(self):
+        with pytest.raises(CompileError, match="every qubit exactly once"):
+            QubitAssignment(10**12, (0,))
 
     @pytest.mark.parametrize("n_qubits, order, pol", [
         (2, (0.9, 1), None), (2, (1.0, 0), None), (2, (True, 0), None),
@@ -458,7 +471,7 @@ def compiled_gate_by_gate(circuit, assignment, options):
     space = assignment.mode_space()
     relabel = (compiler._extract_terminal_relabel(layers, notes, space)
                if options.relabel_terminal_crossings else None)
-    net = compiler._netlist(space, compiler._column_table(layers), notes, relabel)
+    net = compiler._netlist(space, compiler._column_table(layers, space.n_paths), notes, relabel)
     return prune_dead_paths(net, options.input_support) if options.prune else net
 
 

@@ -1,3 +1,4 @@
+import itertools
 from importlib import resources
 
 import numpy as np
@@ -8,6 +9,7 @@ from photonc.compiler import QubitAssignment
 from photonc.equivalence import (
     EquivalenceReport,
     basis_bridge,
+    basis_order,
     bridge_conjugate,
     global_phase_distance,
     state_fidelity,
@@ -89,6 +91,20 @@ class TestStateFidelity:
 
 
 class TestBasisBridge:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_order_is_each_modes_basis_index(self, n):
+        # Every assignment of n qubits, against the per-index bit shuffle.
+        for pol in (None, *range(n)):
+            for order in itertools.permutations([q for q in range(n) if q != pol]):
+                asg = QubitAssignment(n, order, pol)
+                mode_qubits = (*order, *(() if pol is None else (pol,)))
+                expected = np.zeros(1 << n, np.int64)
+                for index in range(1 << n):
+                    bits = "".join(str((index >> (n - 1 - q)) & 1) for q in mode_qubits)
+                    expected[int(bits, 2)] = index
+                assert basis_order(asg).tolist() == expected.tolist()
+                assert np.array_equal(np.argmax(basis_bridge(asg), axis=1), expected)
+
     def test_identity_layout(self):
         bridge = basis_bridge(QubitAssignment.default(2))
         assert np.array_equal(bridge, np.eye(4))

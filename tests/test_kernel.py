@@ -13,8 +13,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from photonc import compiler
-from photonc.compiler import device_stats, netlist_from_json, netlist_to_json, prune_dead_paths
+from photonc import optics
+from photonc.compiler import device_stats, prune_dead_paths
 from photonc.optics import (
     POL_BOTH,
     POL_H,
@@ -31,6 +31,8 @@ from photonc.optics import (
     Rotator,
     element_modes,
     element_unitary,
+    netlist_from_json,
+    netlist_to_json,
     netlist_unitary,
     propagate,
 )
@@ -174,7 +176,7 @@ def test_json_writer_edge_cases_match_stdlib_encoder(net):
 def test_json_matches_stdlib_encoder_across_row_blocks():
     """Two layers of one row block each, so the second starts and ends on a
     block edge, an empty layer, then a part of a block."""
-    block = compiler._JSON_BLOCK
+    block = optics._JSON_BLOCK
     space = ModeSpace(block.bit_length(), True)  # 2 * block paths
     layers = (
         [PhaseShifter(p, p / 7, (POL_H, POL_V, POL_BOTH)[p % 3]) for p in range(block)],

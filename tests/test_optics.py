@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from photonc.circuit import HADAMARD, PAULI_X
-from photonc.compiler import netlist_from_json, netlist_to_json
+from photonc.circuit import HADAMARD, PAULI_X, parse_circuit
+from photonc.compiler import CompileOptions, compile_circuit, prune_dead_paths
 from photonc.optics import (
+    BS,
     MAX_PATH_BITS,
+    PERM,
     POL_BOTH,
     POL_H,
     POL_V,
@@ -24,6 +26,8 @@ from photonc.optics import (
     SpaceTooLargeError,
     element_modes,
     element_unitary,
+    netlist_from_json,
+    netlist_to_json,
     netlist_unitary,
     propagate,
 )
@@ -283,6 +287,41 @@ def test_identity_crossing_shares_a_layer_with_a_real_one():
         for element in layer_elements:
             expected = element_unitary(element, space) @ expected
     assert np.allclose(netlist_unitary(net), expected, atol=1e-15)
+
+
+@pytest.mark.parametrize("source", ["constructed", "loaded", "compiled", "pruned"])
+def test_crossing_maps_are_one_read_only_array_in_crossing_order(source):
+    maps = [(1, 0, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3)]
+    net = OpticalNetlist(ModeSpace(2), [[Crossing(maps[0])], [Crossing(maps[1])],
+                                        [BeamSplitter(0, 1, 0.3)], [Crossing(maps[2])]])
+    if source == "loaded":
+        net = netlist_from_json(netlist_to_json(net))
+    elif source == "compiled":  # cnot 1 0, swap 0 1 and cnot 0 1 on paths q0 q1
+        circuit = parse_circuit("qubits 2\ncnot 1 0\nh 0\nswap 0 1\ncnot 0 1\n")
+        net = compile_circuit(circuit, options=CompileOptions(relabel_terminal_crossings=False))
+        maps = [(0, 3, 2, 1), (0, 2, 1, 3), (0, 1, 3, 2)]
+    elif source == "pruned":  # from path 0, the middle crossing moves only dark paths
+        net = prune_dead_paths(net, {0})
+        del maps[1]
+    table = net.table
+    assert table.maps.dtype == np.int64 and table.maps.shape == (len(maps), 4)
+    assert not table.maps.flags.writeable
+    assert table.maps.tolist() == [list(m) for m in maps]
+    assert table.a[table.kind == PERM].tolist() == list(range(len(maps)))
+    assert [e.path_map for e in net.elements() if isinstance(e, Crossing)] == maps
+
+
+def test_element_subclass_packs_as_its_kind():
+    class Tagged(BeamSplitter):
+        pass
+
+    net = OpticalNetlist(ModeSpace(1), [[Tagged(0, 1, 0.3)]])
+    assert net.table.kind.tolist() == [BS]
+    assert net == OpticalNetlist(ModeSpace(1), [[BeamSplitter(0, 1, 0.3)]])
+    assert net.layers == ((BeamSplitter(0, 1, 0.3),),)
+    for stranger in (None, {"type": "bs", "paths": [0, 1], "theta": 0.3}):
+        with pytest.raises(NetlistError, match="unknown element"):
+            OpticalNetlist(ModeSpace(1), [[stranger]])
 
 
 class TestNetlist:

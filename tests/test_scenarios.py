@@ -1,7 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from photonc.compiler import device_stats
+from photonc.compiler import (
+    QubitAssignment,
+    decompose_u2,
+    device_stats,
+    prepare_location_state,
+    prepare_path_state,
+)
 from photonc.optics import ModeAmplitudes, ModeSpace
 from photonc.scenarios import (
     ScenarioReport,
@@ -12,6 +20,30 @@ from photonc.scenarios import (
     reduced_path_matrix,
     teleport_circuit,
 )
+from photonc.statevec import DensityMatrix, StateVector
+
+NAN = float("nan")
+
+
+def _nan_readings():
+    report = demo_mz()
+    return replace(report, readings=tuple(replace(r, probability=NAN) for r in report.readings))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: demo_teleport(NAN, 0), "must be normalized"),
+    (lambda: prepare_location_state(NAN, 0, 0, QubitAssignment.default(1)), "must be normalized"),
+    (lambda: prepare_path_state([NAN, 0, 0, 0], ModeSpace(2)), "must be normalized"),
+    (lambda: StateVector(1, [NAN, 0]), "is not 1"),
+    (lambda: DensityMatrix([[NAN, 0], [0, 1]]), "hermitian"),
+    (lambda: decompose_u2(np.full((2, 2), NAN)), "not unitary"),
+    (_nan_readings, "probabilities sum to nan"),
+], ids=["demo_teleport", "prepare_location_state", "prepare_path_state", "StateVector",
+        "DensityMatrix", "decompose_u2", "ScenarioReport"])
+def test_nan_fails_every_tolerance_guard(call, message):
+    # Each guard was abs(x - 1) > tol, which is False for NaN.
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestBundledCircuits:
