@@ -295,15 +295,6 @@ def gate_text(gate: Gate) -> str:
     return " ".join(parts)
 
 
-def render_circuit(circuit: QuantumCircuit) -> str:
-    """Inverse of parse_circuit: emit source text that parses back equal."""
-    lines = [f"qubits {circuit.n_qubits}"]
-    if circuit.pol_qubit is not None:
-        lines.append(f"pol {circuit.pol_qubit}")
-    lines += [gate_text(g) for g in circuit.gates]
-    return "\n".join(lines) + "\n"
-
-
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 HADAMARD = np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]], dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -398,10 +389,3 @@ def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
         dst, amp = _mapped_basis_action(gate, src, n_qubits)
         u[dst, src] = amp
     return u
-
-
-def is_unitary(matrix: np.ndarray, tol: float = 1e-12) -> bool:
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return bool(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) <= tol)

@@ -103,7 +103,7 @@ def _parse_input_mode(space: ModeSpace, text: str) -> int:
         raise _UsageError(f"polarization must be H or V, got {pol!r}")
     try:
         return space.mode_of(bits.strip(), pol)
-    except (NetlistError, ValueError) as exc:
+    except NetlistError as exc:
         raise _UsageError(str(exc)) from None
 
 
@@ -133,8 +133,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     if args.prune and support is None:
         raise _UsageError("--prune needs --input to say where the photon enters")
     options = CompileOptions(
-        prune=args.prune,
-        input_support=support,
+        input_support=support if args.prune else None,
         relabel_terminal_crossings=not args.no_relabel,
     )
     netlist = compile_circuit(circuit, assignment, options)

@@ -129,14 +129,10 @@ class QubitAssignment:
     def path_delta(self, qubit: int) -> int:
         return 1 << (self.n_loc - 1 - self.path_bit(qubit))
 
-    def path_bit_value(self, path: int, qubit: int) -> int:
-        return (path >> (self.n_loc - 1 - self.path_bit(qubit))) & 1
-
 
 @dataclass(frozen=True)
 class CompileOptions:
-    prune: bool = False
-    input_support: frozenset[int] | None = None
+    input_support: frozenset[int] | None = None  # given: prune for these entry modes
     relabel_terminal_crossings: bool = True
 
     def __post_init__(self):
@@ -145,8 +141,8 @@ class CompileOptions:
             for mode in self.input_support:
                 if type(mode) is not int:
                     raise CompileError(f"input mode {mode!r} is not an int")
-        if self.prune and not self.input_support:
-            raise CompileError("pruning needs a nonempty input support")
+            if not self.input_support:
+                raise CompileError("pruning needs a nonempty input support")
 
 
 @dataclass(frozen=True)
@@ -485,8 +481,7 @@ def compile_circuit(
     relabel = (_extract_terminal_relabel(layers, notes, space)
                if options.relabel_terminal_crossings else None)
     netlist = _netlist(space, _column_table(layers, space.n_paths), notes, relabel)
-    if options.prune:
-        assert options.input_support is not None
+    if options.input_support is not None:
         netlist = prune_dead_paths(netlist, options.input_support)
     return netlist
 

@@ -83,10 +83,3 @@ def basis_bridge(assignment: QubitAssignment) -> np.ndarray:
     bridge = np.zeros((len(order), len(order)))
     bridge[np.arange(len(order)), order] = 1.0
     return bridge
-
-
-def bridge_conjugate(u: np.ndarray, bridge: np.ndarray) -> np.ndarray:
-    """bridge . u . bridge^T for a permutation bridge, by indexing instead of
-    two O(dim^3) products; the entries are exactly those of the product."""
-    idx = np.argmax(bridge, axis=1)
-    return u[np.ix_(idx, idx)]

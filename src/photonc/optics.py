@@ -137,7 +137,9 @@ class ModeSpace:
 
     def mode_of(self, location_bits: str | Sequence[int], pol: str | None = None) -> int:
         """Mode index of a path bitstring plus (iff polarized) an H/V flag."""
-        bits = "".join(str(int(b)) for b in location_bits)
+        bits = location_bits
+        if not isinstance(bits, str):  # a 1.9 or a True is refused, never truncated
+            bits = "".join(str(b) if type(b) is int and b in (0, 1) else "?" for b in bits)
         if len(bits) != self.n_loc or any(c not in "01" for c in bits):
             raise NetlistError(f"location bits {location_bits!r} do not fit {self.n_loc} bit(s)")
         path = int(bits, 2) if bits else 0
@@ -159,12 +161,6 @@ class ModeSpace:
             return None
         return POL_V if mode & 1 else POL_H
 
-    def path_modes(self, path: int) -> tuple[int, ...]:
-        self._check_path(path)
-        if self.uses_pol:
-            return (path * 2, path * 2 + 1)
-        return (path,)
-
     def mode_label(self, mode: int) -> str:
         self._check_mode(mode)
         bits = format(self.path_of(mode), f"0{self.n_loc}b") if self.n_loc else ""
@@ -175,12 +171,6 @@ class ModeSpace:
             raise NetlistError(f"mode {mode!r} is not an int")
         if not 0 <= mode < self.dim:
             raise NetlistError(f"mode {mode} out of range for dim {self.dim}")
-
-    def _check_path(self, path: int) -> None:
-        if type(path) is not int:  # a bool or float is refused, never truncated
-            raise NetlistError(f"path {path!r} is not an int")
-        if not 0 <= path < self.n_paths:
-            raise NetlistError(f"path {path} out of range for {self.n_paths} path(s)")
 
 
 @dataclass(frozen=True)
@@ -444,9 +434,6 @@ class ModeAmplitudes:
         amps = np.zeros(space.dim, dtype=complex)
         amps[mode] = 1.0
         return cls(space, amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2

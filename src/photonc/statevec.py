@@ -13,9 +13,8 @@ Agreement between the two is a standing cross-check in the test suite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -45,36 +44,22 @@ class StateVector:
 
     @classmethod
     def basis(cls, n_qubits: int, label: int | str) -> StateVector:
-        """Computational basis state, from an index or a bitstring."""
-        index = int(label, 2) if isinstance(label, str) else int(label)
-        amps = np.zeros(1 << n_qubits, dtype=complex)
+        """Computational basis state, from an int index or an n-bit string;
+        anything else (a float, a bool, a digit string of the wrong width)
+        raises, never truncated or wrapped."""
+        dim = 1 << n_qubits
+        index = label
+        if isinstance(label, str) and len(label) == n_qubits and set(label) <= {"0", "1"}:
+            index = int(label or "0", 2)
+        if type(index) is not int or not 0 <= index < dim:
+            raise ValueError(f"basis label {label!r} is not an index below {dim} "
+                             f"or a string of {n_qubits} bit(s)")
+        amps = np.zeros(dim, dtype=complex)
         amps[index] = 1.0
         return cls(n_qubits, amps)
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-
-@dataclass(eq=False)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix over qubit states."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries = np.array(self.entries, dtype=complex)
-        if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
-            raise ValueError("density matrix must be square")
-        if not np.max(np.abs(self.entries - self.entries.conj().T)) <= 1e-12:  # NaN fails too
-            raise ValueError("density matrix must be hermitian")
-        if not abs(np.trace(self.entries).real - 1.0) <= 1e-10:
-            raise ValueError("density matrix trace must be 1")
-        if float(np.linalg.eigvalsh(self.entries).min()) < -1e-10:
-            raise ValueError("density matrix must be positive semidefinite")
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 def _apply_single(amps: np.ndarray, matrix: np.ndarray, qubit: int, n: int) -> np.ndarray:
@@ -157,65 +142,3 @@ def run_circuit_dense(circuit: QuantumCircuit, state: StateVector) -> StateVecto
     for gate in circuit.gates:
         u = gate_unitary(gate, circuit.n_qubits) @ u
     return StateVector(circuit.n_qubits, u @ state.amplitudes)
-
-
-def _check_qubits(qubits: Sequence[int], n: int, what: str) -> tuple[int, ...]:
-    qs = tuple(int(q) for q in qubits)
-    if len(qs) == 0:
-        raise ValueError(f"{what} needs at least one qubit")
-    if len(set(qs)) != len(qs):
-        raise ValueError(f"repeated qubit in {what}")
-    if any(not 0 <= q < n for q in qs):
-        raise ValueError(f"qubit out of range in {what}")
-    return qs
-
-
-def partial_trace(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced density matrix on the kept qubits (ascending index order)."""
-    kept = tuple(sorted(_check_qubits(tuple(keep), state.n_qubits, "keep set")))
-    n = state.n_qubits
-    traced = tuple(q for q in range(n) if q not in kept)
-    psi = state.amplitudes.reshape([2] * n)
-    psi = np.transpose(psi, kept + traced)
-    m = psi.reshape(1 << len(kept), 1 << len(traced))
-    return DensityMatrix(m @ m.conj().T)
-
-
-def measurement_probs(state: StateVector, qubits: Sequence[int]) -> dict[str, float]:
-    """Marginal outcome probabilities for the listed qubits, in listed order."""
-    qs = _check_qubits(qubits, state.n_qubits, "measurement list")
-    n = state.n_qubits
-    probs = (np.abs(state.amplitudes) ** 2).reshape([2] * n)
-    others = tuple(q for q in range(n) if q not in qs)
-    if others:
-        probs = probs.sum(axis=others)
-    remaining = sorted(qs)
-    probs = np.transpose(probs, tuple(remaining.index(q) for q in qs)).reshape(-1)
-    width = len(qs)
-    return {format(i, f"0{width}b"): float(p) for i, p in enumerate(probs)}
-
-
-def conditional_state(
-    state: StateVector, measured: Sequence[int], outcome: str | Sequence[int]
-) -> StateVector:
-    """Post-measurement state of the unmeasured qubits.
-
-    The result is renormalized and phase-canonicalized: the largest-magnitude
-    amplitude is made real and positive. Raises on outcomes with probability
-    at or below 1e-12.
-    """
-    qs = _check_qubits(measured, state.n_qubits, "measured list")
-    bits = [int(b) for b in outcome]
-    if len(bits) != len(qs) or any(b not in (0, 1) for b in bits):
-        raise ValueError(f"outcome {outcome!r} does not match the measured qubits")
-    n = state.n_qubits
-    psi = state.amplitudes.reshape([2] * n)
-    sub = psi[_selector(n, dict(zip(qs, bits)))].reshape(-1)
-    prob = float(np.sum(np.abs(sub) ** 2))
-    if prob <= 1e-12:
-        raise ValueError(f"outcome {outcome!r} has probability {prob}")
-    vec = sub / math.sqrt(prob)
-    pivot = int(np.argmax(np.abs(vec)))
-    ref = vec[pivot]
-    vec = vec * (ref.conjugate() / abs(ref))
-    return StateVector(n - len(qs), vec)

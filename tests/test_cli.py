@@ -56,6 +56,14 @@ class TestCompile:
         assert main(["compile", teleport_qc, "--prune"]) == 2
         assert "--input" in capsys.readouterr().err
 
+    def test_input_without_prune_is_checked_not_pruned(self, teleport_qc, capsys):
+        assert main(["compile", teleport_qc]) == 0
+        plain = capsys.readouterr().out
+        assert main(["compile", teleport_qc, "--input", "00,H"]) == 0
+        assert capsys.readouterr().out == plain
+        assert main(["compile", teleport_qc, "--input", "0x,H"]) == 2
+        assert "do not fit" in capsys.readouterr().err
+
     def test_no_relabel(self, teleport_qc, capsys):
         assert main(["compile", teleport_qc, "--no-relabel"]) == 0
         doc = json.loads(capsys.readouterr().out)

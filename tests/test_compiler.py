@@ -100,8 +100,6 @@ class TestQubitAssignment:
         assert asg.path_bit(2) == 0
         assert asg.path_delta(2) == 2
         assert asg.path_delta(0) == 1
-        assert asg.path_bit_value(0b10, 2) == 1
-        assert asg.path_bit_value(0b10, 0) == 0
         assert asg.is_pol(1)
 
     def test_path_bit_of_pol_qubit_raises(self):
@@ -455,8 +453,7 @@ def repetitive_circuits(draw):
                                                      min_size=kind.n_params,
                                                      max_size=kind.n_params))))
     gates = draw(st.lists(st.sampled_from(pool), max_size=16))
-    prune = draw(st.booleans())
-    options = CompileOptions(prune, frozenset({0}) if prune else None, draw(st.booleans()))
+    options = CompileOptions(draw(st.sampled_from([None, frozenset({0})])), draw(st.booleans()))
     return QuantumCircuit(n, tuple(gates)), QubitAssignment(n, order, pol), options
 
 
@@ -472,7 +469,7 @@ def compiled_gate_by_gate(circuit, assignment, options):
     relabel = (compiler._extract_terminal_relabel(layers, notes, space)
                if options.relabel_terminal_crossings else None)
     net = compiler._netlist(space, compiler._column_table(layers, space.n_paths), notes, relabel)
-    return prune_dead_paths(net, options.input_support) if options.prune else net
+    return net if options.input_support is None else prune_dead_paths(net, options.input_support)
 
 
 @given(repetitive_circuits())
@@ -643,19 +640,19 @@ class TestPrune:
         with pytest.raises(NetlistError, match="not an int"):
             prune_dead_paths(self.netlist, [mode])
         with pytest.raises(CompileError, match="not an int"):
-            CompileOptions(prune=True, input_support={mode})
+            CompileOptions(input_support={mode})
 
     def test_compile_option_prunes(self):
         net = compile_circuit(
             self.circuit,
             self.assignment,
-            CompileOptions(prune=True, input_support=frozenset({0})),
+            CompileOptions(input_support=frozenset({0})),
         )
         assert net == self.pruned
 
     def test_prune_option_requires_support(self):
-        with pytest.raises(CompileError):
-            CompileOptions(prune=True)
+        with pytest.raises(CompileError, match="nonempty input support"):
+            CompileOptions(input_support=frozenset())
 
     def test_empty_layers_dropped(self):
         assert all(layer for layer in self.pruned.layers)

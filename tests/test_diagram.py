@@ -13,7 +13,7 @@ def pruned_teleport():
     return compile_circuit(
         circ,
         QubitAssignment.for_circuit(circ),
-        CompileOptions(prune=True, input_support=frozenset({0})),
+        CompileOptions(input_support=frozenset({0})),
     )
 
 

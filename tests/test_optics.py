@@ -57,7 +57,6 @@ class TestModeSpace:
         assert space.dim == 4
         assert space.mode_of("10") == 2
         assert space.mode_label(2) == "10"
-        assert space.path_modes(1) == (1,)
 
     def test_polarized_space(self):
         space = ModeSpace(2, uses_pol=True)
@@ -67,7 +66,6 @@ class TestModeSpace:
         assert space.path_of(5) == 2
         assert space.pol_of(5) == POL_V
         assert space.mode_label(5) == "10,V"
-        assert space.path_modes(2) == (4, 5)
 
     def test_pol_only_space(self):
         space = ModeSpace(0, uses_pol=True)
@@ -90,6 +88,15 @@ class TestModeSpace:
             ModeSpace(2).mode_of("1")
         with pytest.raises(NetlistError):
             ModeSpace(2).mode_of("102")
+
+    @pytest.mark.parametrize("bits", [
+        [1.9, 0], [1.0, 0], [True, False], [1, True], [np.int64(1), 0], [10], [2, 0], "1x", "x1",
+    ], ids=repr)
+    def test_mode_of_refuses_non_bits(self, bits):
+        # [1.9, 0] and [True, False] were mode 2, [10] was too, and "1x"
+        # raised a bare ValueError from int("x").
+        with pytest.raises(NetlistError, match="do not fit"):
+            ModeSpace(2).mode_of(bits)
 
 
     @pytest.mark.parametrize("n_loc, uses_pol", [
@@ -406,7 +413,7 @@ class TestModeAmplitudes:
 
     def test_unnormalized_allowed(self):
         amps = ModeAmplitudes(ModeSpace(1), np.array([2.0, 0.0]))
-        assert amps.norm() == pytest.approx(2.0)
+        assert amps.probabilities().sum() == pytest.approx(4.0)
 
     def test_probabilities(self):
         amps = ModeAmplitudes(ModeSpace(1), np.array([0.6, 0.8j]))

@@ -14,15 +14,10 @@ from photonc.circuit import (
     h,
     parse_circuit,
     s,
-    x,
 )
 from photonc.statevec import (
-    DensityMatrix,
     StateVector,
     circuit_unitary,
-    conditional_state,
-    measurement_probs,
-    partial_trace,
     run_circuit,
     run_circuit_dense,
 )
@@ -38,6 +33,14 @@ class TestStateVector:
         st = StateVector.basis(3, "101")
         assert st.amplitudes[5] == 1.0
 
+    @pytest.mark.parametrize("label", [2.7, 2.0, True, -1, 4, "1", "111", "1x", "", np.int64(1)],
+                             ids=repr)
+    def test_basis_refuses_bad_labels(self, label):
+        # 2.7 was state 2, True state 1, -1 state 3 and "1" state 1;
+        # "111" and 4 ended in an IndexError.
+        with pytest.raises(ValueError, match="basis label"):
+            StateVector.basis(2, label)
+
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             StateVector(1, np.array([0.5, 0.5]))
@@ -49,23 +52,6 @@ class TestStateVector:
     def test_probabilities(self):
         st = StateVector(1, np.array([0.6, 0.8j]))
         assert np.allclose(st.probabilities(), [0.36, 0.64])
-
-
-class TestDensityMatrix:
-    def test_accepts_mixed(self):
-        DensityMatrix(np.eye(2) / 2)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="hermitian"):
-            DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
-
-    def test_rejects_bad_trace(self):
-        with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(np.eye(2))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="positive"):
-            DensityMatrix(np.array([[1.5, 0.0], [0.0, -0.5]]))
 
 
 class TestRunCircuit:
@@ -152,55 +138,3 @@ class TestRunCircuit:
         out = run_circuit(circ, StateVector(3, amps)).amplitudes
         expected = 0.5 * np.array([a, b, a, b, a, b, a, b])
         assert np.max(np.abs(out - expected)) < 1e-12
-
-
-class TestPartialTrace:
-    def test_bell_reduces_to_maximally_mixed(self):
-        circ = QuantumCircuit(2, (h(0), cnot(0, 1)))
-        out = run_circuit(circ, StateVector.basis(2, 0))
-        rho = partial_trace(out, [0])
-        assert np.max(np.abs(rho.entries - np.eye(2) / 2)) < 1e-12
-
-    def test_product_state_stays_pure(self):
-        circ = QuantumCircuit(2, (h(0),))
-        out = run_circuit(circ, StateVector.basis(2, 0))
-        rho = partial_trace(out, [1]).entries
-        assert abs(np.trace(rho @ rho) - 1.0) < 1e-12
-
-    def test_keep_order_ascending(self):
-        st = StateVector.basis(3, "011")
-        rho = partial_trace(st, [2, 1])
-        # kept qubits come back ascending: (q1, q2) = |11>
-        assert rho.entries[3, 3] == pytest.approx(1.0)
-
-
-class TestMeasurement:
-    def test_probs_sum_to_one(self):
-        rng = np.random.default_rng(41)
-        circ = random_circuit(rng, 3, 6)
-        out = run_circuit(circ, StateVector.basis(3, 0))
-        probs = measurement_probs(out, [0, 2])
-        assert set(probs) == {"00", "01", "10", "11"}
-        assert sum(probs.values()) == pytest.approx(1.0)
-
-    def test_listed_order_is_key_order(self):
-        st = StateVector.basis(2, "01")
-        assert measurement_probs(st, [1, 0])["10"] == pytest.approx(1.0)
-
-    def test_conditional_bell(self):
-        circ = QuantumCircuit(2, (h(0), cnot(0, 1)))
-        out = run_circuit(circ, StateVector.basis(2, 0))
-        cond = conditional_state(out, [0], "1")
-        assert abs(cond.amplitudes[1] - 1.0) < 1e-12
-
-    def test_conditional_impossible_outcome(self):
-        st = StateVector.basis(2, "00")
-        with pytest.raises(ValueError, match="probability"):
-            conditional_state(st, [0], "1")
-
-    def test_conditional_phase_canonical(self):
-        # Largest amplitude comes back real positive.
-        circ = QuantumCircuit(2, (x(0), s(0)))
-        out = run_circuit(circ, StateVector.basis(2, 0))
-        cond = conditional_state(out, [0], "1")
-        assert cond.amplitudes[0] == pytest.approx(1.0)
