@@ -2,24 +2,25 @@
 
 Encoding: each location qubit contributes one path-index bit (assignment
 order fixes which bit, position 0 being most significant); at most one
-qubit may ride on polarization instead. A gate therefore becomes:
+qubit may ride on polarization instead. Gates are built from three
+primitives, each acting only where its control qubits are 1:
 
-  - a 1-qubit gate on a location qubit: one beam splitter plus phase
-    shifters per path pair that differs only in that qubit's bit, from the
-    exact decomposition U = D_out . BS(theta) . D_in;
-  - a 1-qubit gate on the polarization qubit: per-path polarization
-    elements when the matrix is a flip or a phase, otherwise the gate is
-    conjugated onto a borrowed location qubit by an exact location/pol swap;
-  - CNOT from location onto polarization: a rotator on every path where the
-    control bit is 1;
-  - CNOT from polarization onto a location bit: a polarizing beam splitter
-    per affected path pair, followed by -pi/2 V-filtered phase shifters
-    that cancel the splitter's reflection phases, making the stage exact;
-  - gates that only permute or phase paths (CNOT/CZ/SWAP/TOFFOLI/FREDKIN on
-    location qubits): one crossing or one layer of pi phase shifters
-    restricted to the control-satisfying paths;
-  - TOFFOLI/FREDKIN with a polarization operand: the constructions above
-    restricted to paths where the remaining location controls are 1.
+  - flip (NOT on a target): rotators on the control paths when the target
+    is the polarization qubit; a polarizing beam splitter per affected path
+    pair when a control is, followed by -pi/2 V-filtered phase shifters that
+    cancel the splitter's reflection phases; otherwise one crossing;
+  - exchange (SWAP of two qubits): one crossing when every operand is a
+    location qubit, otherwise three flips, the polarization qubit always
+    the second operand so the stages run rotator, PBS, rotator;
+  - phase: one layer of phase shifters on the paths where the location
+    operands are 1, V-filtered when the polarization qubit is an operand.
+
+CNOT, TOFFOLI and X on polarization are flips; SWAP and FREDKIN are
+exchanges; CZ, and Z, S or PHASE on polarization, are phases. A 1-qubit
+gate on a location qubit is one beam splitter plus phase shifters per path
+pair that differs only in that qubit's bit, from the exact decomposition
+U = D_out . BS(theta) . D_in; H or U2 on polarization is that gate on a
+borrowed location qubit, exchanged with polarization before and after.
 
 Every lowering above is exact (equal to the embedded gate unitary, global
 phase included), so a compiled netlist matches its circuit to float
@@ -271,8 +272,10 @@ def _u2_assembly(dec: U2Decomposition, p0: np.ndarray, p1: np.ndarray) -> list[C
 def _controlled(
     assignment: QubitAssignment, controls: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Every path, and whether it has all the control bits 1."""
-    mask = sum(map(assignment.path_delta, controls))  # distinct operands, distinct bits
+    """Every path, and whether it has all the location control bits 1 (the
+    polarization qubit has no path bit; its callers condition on it)."""
+    # Distinct operands, distinct bits.
+    mask = sum(assignment.path_delta(q) for q in controls if not assignment.is_pol(q))
     paths = np.arange(1 << assignment.n_loc, dtype=np.int64)
     return paths, paths & mask == mask
 
@@ -292,11 +295,6 @@ def _bit_pairs(
     return p0, p0 | delta
 
 
-def _rotator_stage(assignment: QubitAssignment, controls: Sequence[int]) -> list[Column]:
-    # Polarization flip on every path satisfying the location controls.
-    return [Column(ROT, _control_paths(assignment, controls))]
-
-
 def _pbs_stage(
     assignment: QubitAssignment, target: int, controls: Sequence[int]
 ) -> list[Column]:
@@ -307,110 +305,80 @@ def _pbs_stage(
     return [Column(PBS, p0, p1), fixups]
 
 
-def _phase_stage(
-    assignment: QubitAssignment, controls: Sequence[int], phi: float, pol: int
-) -> list[Column]:
-    if abs(_wrap(phi)) < _ZERO_ANGLE:
-        return []
-    return [Column(PS, _control_paths(assignment, controls), angle=phi, pol=pol)]
-
-
 def _crossing_stage(path_map: np.ndarray) -> list[Column]:
     if (path_map == np.arange(len(path_map))).all():
         return []
     return [Column(PERM, np.zeros(1, np.int64), path_map=path_map)]
 
 
-def _flip_map(assignment: QubitAssignment, target: int, controls: Sequence[int]) -> np.ndarray:
+def _flip(assignment: QubitAssignment, target: int, controls: Sequence[int]) -> list[Column]:
+    """NOT on target where every control is 1: rotators on the control paths
+    when the target is the polarization qubit, a PBS stage when a control is,
+    and otherwise one crossing."""
+    if assignment.is_pol(target):
+        return [Column(ROT, _control_paths(assignment, controls))]
+    if assignment.pol_qubit in controls:
+        return _pbs_stage(assignment, target, controls)
     paths, on = _controlled(assignment, controls)
-    return np.where(on, paths ^ assignment.path_delta(target), paths)
+    return _crossing_stage(np.where(on, paths ^ assignment.path_delta(target), paths))
 
 
-def _exchange_map(
+def _exchange(
     assignment: QubitAssignment, a: int, b: int, controls: Sequence[int]
-) -> np.ndarray:
-    da, db = assignment.path_delta(a), assignment.path_delta(b)
-    paths, on = _controlled(assignment, controls)
-    moves = on & ((paths & da == 0) != (paths & db == 0))
-    return np.where(moves, paths ^ da ^ db, paths)
-
-
-def _swap_loc_pol_stage(
-    assignment: QubitAssignment, loc: int, controls: Sequence[int]
 ) -> list[Column]:
-    # SWAP(loc, pol) = CX(loc->pol) CX(pol->loc) CX(loc->pol), all exact.
-    flip_pol = _rotator_stage(assignment, (*controls, loc))
-    flip_loc = _pbs_stage(assignment, loc, controls)
-    return flip_pol + flip_loc + flip_pol
+    """SWAP of a and b where every control is 1: one crossing on location
+    qubits, else three flips. A swapped polarization qubit is always b, so
+    the stages run rotator, PBS, rotator."""
+    if assignment.pol_qubit not in (a, b, *controls):
+        da, db = assignment.path_delta(a), assignment.path_delta(b)
+        paths, on = _controlled(assignment, controls)
+        moves = on & ((paths & da == 0) != (paths & db == 0))
+        return _crossing_stage(np.where(moves, paths ^ da ^ db, paths))
+    if assignment.is_pol(a):
+        a, b = b, a
+    outer = _flip(assignment, b, (*controls, a))
+    return outer + _flip(assignment, a, (*controls, b)) + outer
+
+
+def _phase(assignment: QubitAssignment, qubits: Sequence[int], phi: float) -> list[Column]:
+    """e^(i.phi) where every operand is 1: shifters on the paths where the
+    location operands are 1, V-filtered when the polarization qubit is one."""
+    if abs(_wrap(phi)) < _ZERO_ANGLE:
+        return []
+    pol = _V if assignment.pol_qubit in qubits else POL_CODE_BOTH
+    return [Column(PS, _control_paths(assignment, qubits), angle=phi, pol=pol)]
 
 
 def _lower_1q_location(matrix: np.ndarray, qubit: int, assignment: QubitAssignment):
     return _u2_assembly(decompose_u2(matrix), *_bit_pairs(assignment, qubit, ()))
 
 
-def _lower_1q_pol(gate: Gate, assignment: QubitAssignment) -> list[Column]:
-    kind = gate.kind
-    if kind is GateKind.X:
-        return _rotator_stage(assignment, ())
-    if kind is GateKind.Z:
-        return _phase_stage(assignment, (), math.pi, _V)
-    if kind is GateKind.S:
-        return _phase_stage(assignment, (), math.pi / 2, _V)
-    if kind is GateKind.PHASE:
-        return _phase_stage(assignment, (), gate.params[0], _V)
-    # Mixing gates (H, general U2) need a path pair to interfere on, so the
-    # polarization qubit is swapped onto a borrowed location qubit first.
-    if assignment.n_loc == 0:
-        raise CompileError(
-            f"cannot lower {kind.value} on the polarization qubit without a location qubit"
-        )
-    borrow = assignment.location_order[-1]
-    swap_stage = _swap_loc_pol_stage(assignment, borrow, ())
-    return swap_stage + _lower_1q_location(one_qubit_matrix(gate), borrow, assignment) + swap_stage
+_PHASE_ANGLES = {GateKind.Z: math.pi, GateKind.S: math.pi / 2, GateKind.CZ: math.pi}
 
 
 def _lower_columns(gate: Gate, assignment: QubitAssignment) -> list[Column]:
     """Column layers realizing one gate exactly (no global-phase slack)."""
     kind, qs = gate.kind, gate.qubits
     gate.validate_for(assignment.n_qubits)
-    if kind.n_qubits == 1:
-        if assignment.is_pol(qs[0]):
-            return _lower_1q_pol(gate, assignment)
+    on_pol = kind.n_qubits == 1 and assignment.is_pol(qs[0])
+    if kind in (GateKind.CNOT, GateKind.TOFFOLI) or (on_pol and kind is GateKind.X):
+        return _flip(assignment, qs[-1], qs[:-1])
+    if kind in (GateKind.SWAP, GateKind.FREDKIN):
+        return _exchange(assignment, qs[-2], qs[-1], qs[:-2])
+    if kind is GateKind.CZ or (on_pol and kind in (GateKind.Z, GateKind.S, GateKind.PHASE)):
+        phi = gate.params[0] if kind is GateKind.PHASE else _PHASE_ANGLES[kind]
+        return _phase(assignment, qs, phi)
+    if not on_pol:
         return _lower_1q_location(one_qubit_matrix(gate), qs[0], assignment)
-    if kind is GateKind.CNOT:
-        control, target = qs
-        if assignment.is_pol(target):
-            return _rotator_stage(assignment, (control,))
-        if assignment.is_pol(control):
-            return _pbs_stage(assignment, target, ())
-        return _crossing_stage(_flip_map(assignment, target, (control,)))
-    if kind is GateKind.CZ:
-        locs = tuple(q for q in qs if not assignment.is_pol(q))
-        return _phase_stage(assignment, locs, math.pi, POL_CODE_BOTH if len(locs) == 2 else _V)
-    if kind is GateKind.SWAP:
-        a, b = qs
-        if assignment.is_pol(a) or assignment.is_pol(b):
-            loc = b if assignment.is_pol(a) else a
-            return _swap_loc_pol_stage(assignment, loc, ())
-        return _crossing_stage(_exchange_map(assignment, a, b, ()))
-    if kind is GateKind.TOFFOLI:
-        c1, c2, target = qs
-        if assignment.is_pol(target):
-            return _rotator_stage(assignment, (c1, c2))
-        if assignment.is_pol(c1) or assignment.is_pol(c2):
-            other = c2 if assignment.is_pol(c1) else c1
-            return _pbs_stage(assignment, target, (other,))
-        return _crossing_stage(_flip_map(assignment, target, (c1, c2)))
-    if kind is GateKind.FREDKIN:
-        control, a, b = qs
-        if assignment.is_pol(control):
-            outer = _pbs_stage(assignment, b, (a,))
-            return outer + _pbs_stage(assignment, a, (b,)) + outer
-        if assignment.is_pol(a) or assignment.is_pol(b):
-            loc = b if assignment.is_pol(a) else a
-            return _swap_loc_pol_stage(assignment, loc, (control,))
-        return _crossing_stage(_exchange_map(assignment, a, b, (control,)))
-    raise CompileError(f"no lowering for gate kind {kind.value}")
+    # Mixing gates (H, general U2) need a path pair to interfere on, so the
+    # polarization qubit is exchanged onto a borrowed location qubit and back.
+    if assignment.n_loc == 0:
+        raise CompileError(
+            f"cannot lower {kind.value} on the polarization qubit without a location qubit"
+        )
+    borrow = assignment.location_order[-1]
+    swap = _exchange(assignment, borrow, qs[0], ())
+    return swap + _lower_1q_location(one_qubit_matrix(gate), borrow, assignment) + swap
 
 
 def lower_gate(gate: Gate, assignment: QubitAssignment) -> list[list[OpticalElement]]:

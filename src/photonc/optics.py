@@ -43,6 +43,8 @@ so a library-built int angle 2 is stored and written as 2.0, as loaded.
 One builder, _table, makes every table (offsets, crossing numbers, maps
 checked to permute the paths) for one decoder of element documents, _decode
 (the JSON loader's, and the constructor's from each element's to_doc()), the
+loader's reader of the writer's own text (_read_written: the layers as one
+number stream, kept only if writing them back gives the same text), the
 compiler's columns and subset; then one vectorized checker, _check, checks
 path ranges, distinct pairs, polarized-only kinds, finite angles and
 disjoint layers by one sort of (layer, mode) keys (and _netlist refuses a
@@ -68,6 +70,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_string
@@ -139,7 +142,8 @@ class ModeSpace:
         """Mode index of a path bitstring plus (iff polarized) an H/V flag."""
         bits = location_bits
         if not isinstance(bits, str):  # a 1.9 or a True is refused, never truncated
-            bits = "".join(str(b) if type(b) is int and b in (0, 1) else "?" for b in bits)
+            items = bits if isinstance(bits, Iterable) else "?"  # so is a bare 5 or None
+            bits = "".join(str(b) if type(b) is int and b in (0, 1) else "?" for b in items)
         if len(bits) != self.n_loc or any(c not in "01" for c in bits):
             raise NetlistError(f"location bits {location_bits!r} do not fit {self.n_loc} bit(s)")
         path = int(bits, 2) if bits else 0
@@ -654,7 +658,69 @@ def netlist_to_json(netlist: OpticalNetlist) -> str:
     ])
 
 
+_WRITTEN_HEAD = re.compile(
+    r'\{\n  "version": 1,\n  "n_loc": (\d+),\n  "uses_pol": (true|false),\n  "layers": \[')
+_WRITTEN_META = ',\n  "meta": '
+# The writer's layers text, its spaces and newlines dropped, rewritten to one
+# stream of numbers: inf and the kind code open an element, -inf a layer; a
+# pol filter is its code; keys and punctuation become spaces. After its code
+# an element holds a, then b or pol, then the angle, or a crossing its map.
+_STREAM_TOKENS = (
+    *((f'{{"type":"{kind.tag}","{keys[0][0]}":' + "[" * (keys[0][1] in ("ab", "map")),
+       f" inf {code} ") for code, (kind, keys) in enumerate(zip(ELEMENT_KINDS, _DOC_KEYS))),
+    *((f',"pol":"{pol}","phi":', f" {code} ") for code, pol in enumerate(_POL_FILTERS)),
+    ('],"theta":', " "),
+    ("[", " -inf "),
+)
+_STREAM_TOKENS = tuple((old.encode(), new.encode()) for old, new in _STREAM_TOKENS)
+_STREAM_PUNCT = bytes.maketrans(b",]}", b"   ")
+
+
+def _read_written(text: str) -> OpticalNetlist | None:
+    """The netlist of a text that netlist_to_json wrote, or None.
+
+    A JSON document of a wide netlist is a dict, a list and boxed numbers
+    per element: about 48 MB of small objects for 110k elements. The few
+    objects that outlive a load pin the allocator arenas those filled, so a
+    process that loads netlist after netlist grew, and its peak memory
+    changed from run to run. This reads the layers as one number stream
+    instead, and takes the result only if writing it gives back the text
+    exactly; any other text is left to the document reader, errors and all."""
+    head, end = _WRITTEN_HEAD.match(text), text.rfind(_WRITTEN_META)
+    if head is None or end < 0:
+        return None
+    try:
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")  # np.fromstring warns of a token it cannot read
+            space = ModeSpace(int(head[1]), head[2] == "true")
+            meta = json.loads(text[end + len(_WRITTEN_META):-2])
+            body = text[head.end():end].encode("ascii").translate(None, b" \n")
+            for old, new in _STREAM_TOKENS:
+                body = body.replace(old, new)
+            v = np.fromstring(body.translate(_STREAM_PUNCT), sep=" ")
+            marks = np.flatnonzero(np.isinf(v))
+            starts = marks[v[marks] > 0] + 2  # each element's a
+            counts = np.diff(np.searchsorted(starts, np.append(marks[v[marks] < 0], len(v))))
+            kind = v[starts - 1].astype(np.int8)
+            a, b_or_pol, angle = np.append(v, (0.0, 0.0))[starts + np.arange(3)[:, None]]
+            pair, shifter, crossing = (kind == BS) | (kind == PBS), kind == PS, kind == PERM
+            table = _table(kind, np.where(crossing, 0, a).astype(np.int64),
+                           np.where(pair, b_or_pol, 0).astype(np.int64),
+                           np.where((kind == BS) | shifter, angle, 0.0),
+                           np.where(shifter, b_or_pol, POL_CODE_BOTH).astype(np.int8), counts,
+                           v[starts[crossing][:, None] + np.arange(space.n_paths)].astype(np.int64),
+                           space.n_paths)
+            net = _netlist(space, table, meta["source_gates"], meta.get("output_relabel"))
+    except (ArithmeticError, AttributeError, LookupError, RecursionError, TypeError,
+            ValueError, Warning):  # not the writer's text: the document reader says why
+        return None
+    return net if netlist_to_json(net) == text else None
+
+
 def netlist_from_json(text: str) -> OpticalNetlist:
+    net = _read_written(text)
+    if net is not None:
+        return net
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -209,26 +210,24 @@ class TestDecomposeU2:
 
 class TestLowerGate:
     def test_every_kind_every_layout_exact(self):
+        # Every ordered operand tuple, under every pol placement and both
+        # location orders: each lowering branch on every slot layout.
         rng = np.random.default_rng(67)
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             pols = [None] + (list(range(n)) if n >= 2 else [])
             for pol in pols:
                 order = tuple(q for q in range(n) if q != pol)
-                asg = QubitAssignment(n, order, pol)
-                for kind in GateKind:
-                    if kind.n_qubits > n:
-                        continue
-                    for _ in range(4):
-                        qubits = tuple(
-                            int(q) for q in rng.choice(n, size=kind.n_qubits, replace=False)
-                        )
-                        params = tuple(
-                            float(v) for v in rng.uniform(-np.pi, np.pi, size=kind.n_params)
-                        )
-                        gate = Gate(kind, qubits, params)
-                        u_net = layers_unitary(lower_gate(gate, asg), asg.mode_space())
-                        err = np.max(np.abs(u_net - embedded(gate, asg)))
-                        assert err < 1e-12, (gate, asg, err)
+                for o in dict.fromkeys((order, order[::-1])):
+                    asg = QubitAssignment(n, o, pol)
+                    for kind in GateKind:
+                        for qubits in itertools.permutations(range(n), kind.n_qubits):
+                            params = tuple(
+                                float(v) for v in rng.uniform(-np.pi, np.pi, size=kind.n_params)
+                            )
+                            gate = Gate(kind, qubits, params)
+                            u_net = layers_unitary(lower_gate(gate, asg), asg.mode_space())
+                            err = np.max(np.abs(u_net - embedded(gate, asg)))
+                            assert err < 1e-12, (gate, asg, err)
 
     def test_h_on_location_is_three_layers(self):
         asg = QubitAssignment.default(1)

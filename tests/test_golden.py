@@ -1,6 +1,8 @@
 """CLI output on the bundled circuits and demos, byte for byte against the
 files in tests/golden/. Those files pin the JSON form, the stats, diagram
-and run text, and the demo reports; change them only with the behaviour."""
+and run text, and the demo reports; change them only with the behaviour.
+every_gate.qc, kept beside them, lowers every gate kind in every
+polarization slot, so its compile JSON pins each lowering branch."""
 
 from importlib import resources
 from pathlib import Path
@@ -19,6 +21,7 @@ def _cases():
         yield f"{name}.stats.txt", ["stats", "{net}"]
         yield f"{name}.diagram.txt", ["diagram", "{net}"]
         yield f"{name}.run.txt", ["run", "{net}", "--input", port]
+    yield "every_gate.compile.json", ["compile", "{qc}"]
     yield "demo_mz.txt", ["demo", "mz"]
     yield "demo_mz_rotator.txt", ["demo", "mz", "--rotator"]
     yield "demo_teleport.txt", ["demo", "teleport"]
@@ -29,7 +32,10 @@ CASES = list(_cases())
 
 @pytest.mark.parametrize("golden, argv", CASES, ids=[golden for golden, _ in CASES])
 def test_cli_output_matches_golden(golden, argv, tmp_path, capsys):
-    qc = resources.files("photonc").joinpath(f"circuits/{golden.split('.')[0]}.qc")
+    name = golden.split(".")[0]
+    qc = GOLDEN / f"{name}.qc"
+    if not qc.exists():
+        qc = resources.files("photonc").joinpath(f"circuits/{name}.qc")
     net = tmp_path / "net.json"
     if "{net}" in argv:
         assert main(["compile", str(qc), "-o", str(net)]) == 0

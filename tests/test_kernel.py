@@ -153,6 +153,45 @@ def test_json_matches_stdlib_encoder_on_edge_cases(net):
     assert netlist_to_json(net) == stdlib_json(net)
 
 
+@settings(max_examples=200, deadline=None)
+@given(netlists(), st.lists(st.text(), min_size=5, max_size=5))
+def test_writer_text_reads_as_its_document(net, notes):
+    # The writer's own text is read as a number stream; with a trailing
+    # space it is no longer the writer's, so it is read as a JSON document.
+    notes = tuple(notes[: len(net.layers)])
+    net = OpticalNetlist(net.space, net.layers, notes, net.output_relabel)
+    text = netlist_to_json(net)
+    assert optics._read_written(text + " ") is None
+    read = optics._read_written(text)
+    assert read == netlist_from_json(text + " ") == net
+    assert [column.dtype for column in read.table] == [column.dtype for column in net.table]
+    assert netlist_to_json(read) == text
+
+
+@pytest.mark.parametrize("old, new", [
+    ('"theta": 0.5', '"theta": NaN'),
+    ('"theta": 0.5', '"theta": true'),
+    ("          1\n", "          1.0\n"),
+    ("          1\n", "          0\n"),
+    ("          1\n", "          2\n"),
+    ('"n_loc": 1', '"n_loc": 40'),
+    ('"type": "bs"', '"type": "pbs"'),
+    ('      ""', "      3"),
+], ids=["nan-angle", "bool-angle", "float-path", "same-paths", "path-range", "too-wide",
+        "unpolarized-pbs", "int-note"])
+def test_edited_writer_text_fails_as_its_document(old, new):
+    # An edit that the number stream misreads or refuses leaves the text to
+    # the document reader: the same error as the text read as a document.
+    text = netlist_to_json(OpticalNetlist(ModeSpace(1), ((BeamSplitter(0, 1, 0.5),),)))
+    assert old in text
+    text = text.replace(old, new)
+    with pytest.raises(ValueError) as streamed:
+        netlist_from_json(text)
+    with pytest.raises(ValueError) as document:
+        netlist_from_json(text + " ")
+    assert (type(streamed.value), str(streamed.value)) == (type(document.value), str(document.value))
+
+
 SWAP_01 = Crossing((1, 0, 2, 3))
 
 

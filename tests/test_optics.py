@@ -91,10 +91,11 @@ class TestModeSpace:
 
     @pytest.mark.parametrize("bits", [
         [1.9, 0], [1.0, 0], [True, False], [1, True], [np.int64(1), 0], [10], [2, 0], "1x", "x1",
+        5, None, 1.5,
     ], ids=repr)
     def test_mode_of_refuses_non_bits(self, bits):
-        # [1.9, 0] and [True, False] were mode 2, [10] was too, and "1x"
-        # raised a bare ValueError from int("x").
+        # [1.9, 0] and [True, False] were mode 2, [10] was too, "1x" raised a
+        # bare ValueError from int("x"), and 5, None and 1.5 a bare TypeError.
         with pytest.raises(NetlistError, match="do not fit"):
             ModeSpace(2).mode_of(bits)
 
