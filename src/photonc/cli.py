@@ -30,6 +30,7 @@ from .optics import (
     NetlistFormatError,
     OpticalNetlist,
     SpaceTooLargeError,
+    _mode_labels,
     netlist_from_json,
     netlist_to_json,
     netlist_unitary,
@@ -170,8 +171,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     space = netlist.space
     mode = _parse_input_mode(space, args.input)
     final = propagate(netlist, ModeAmplitudes.basis(space, mode))
-    for m, p in enumerate(final.probabilities()):
-        print(f"mode {m} ({space.mode_label(m)}): p = {p:.10f}")
+    labels = _mode_labels(space)
+    sys.stdout.write("".join(f"mode {m} ({labels[m]}): p = {p:.10f}\n"
+                             for m, p in enumerate(final.probabilities().tolist())))
     return 0
 
 

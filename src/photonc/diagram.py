@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .optics import POL_CODE_BOTH, PS, OpticalNetlist
+from .optics import POL_CODE_BOTH, PS, OpticalNetlist, _mode_labels
 
 _TIE = "┆"
 _RAIL = "─"
@@ -27,7 +27,7 @@ _CELLS = np.array([[_RAIL + token + _RAIL * (width - len(token) + 1)
 def render_diagram(netlist: OpticalNetlist) -> str:
     space, table = netlist.space, netlist.table
     n_rows = space.dim
-    left = [space.mode_label(m) for m in range(n_rows)]
+    left = _mode_labels(space)
     relabel = netlist.output_relabel or tuple(range(space.n_paths))
     w = 2 if space.uses_pol else 1
     right = [left[relabel[m // w] * w + m % w] for m in range(n_rows)]

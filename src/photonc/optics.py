@@ -41,10 +41,12 @@ inside a layer that the JSON text and net.layers follow. Angles are float64,
 so a library-built int angle 2 is stored and written as 2.0, as loaded.
 
 One builder, _table, makes every table (offsets, crossing numbers, maps
-checked to permute the paths) for one decoder of element documents, _decode
-(the JSON loader's, and the constructor's from each element's to_doc()), the
-loader's reader of the writer's own text (_read_written: the layers as one
-number stream, kept only if writing them back gives the same text), the
+checked to permute the paths) for one decoder, _decode, of element documents
+(the JSON loader's) or of element objects (the constructor's, by the
+attributes each to_doc reads), the loader's reader of the writer's own text
+(_read_written: one newline scan, then each field read from the end of the
+line the writer's indent-2 layout puts it on; kept only if writing the
+netlist back gives the same text, compared a block at a time), the
 compiler's columns and subset; then one vectorized checker, _check, checks
 path ranges, distinct pairs, polarized-only kinds, finite angles and
 disjoint layers by one sort of (layer, mode) keys (and _netlist refuses a
@@ -70,14 +72,14 @@ from __future__ import annotations
 import json
 import math
 import re
-import warnings
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii as _json_string
-from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence, Union
+from operator import attrgetter, itemgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class NetlistError(ValueError):
@@ -94,11 +96,12 @@ class SpaceTooLargeError(NetlistError):
 
 # `h` on a location qubit puts 1.5 elements on each path, so one gate's
 # netlist grows with 2^n_loc. For a lone `h 0` (2-vCPU host), compile_circuit
-# took 2 / 10 / 65 ms at 14 / 16 / 18 path bits, and CLI `compile`, mostly
-# its JSON writer, about 0.04 / 0.15 / 0.65 s at 42 / 66 / 161 MB peak: x4
-# per two bits, so about 2.6 s / 600 MB at 20 and 10 s / 2.4 GB at 22. 20
-# bits is the widest space whose one-gate netlist file stays under a
-# gigabyte; past it, ModeSpace refuses before any loop starts.
+# took 7 / 25 / 90 ms at 14 / 16 / 18 path bits, and CLI `compile`, mostly
+# its JSON writer, about 0.07 / 0.28 / 0.86 s at 50 / 98 / 283 MB peak for
+# a 6 / 25 / 100 MB file: x4 per two bits, so about 3.5 s / 1.1 GB for a
+# 400 MB file at 20 and 14 s / 4.5 GB at 22. 20 bits is the widest space
+# whose one-gate netlist file stays under a gigabyte; past it, ModeSpace
+# refuses before any loop starts.
 MAX_PATH_BITS = 20
 
 
@@ -175,6 +178,12 @@ class ModeSpace:
             raise NetlistError(f"mode {mode!r} is not an int")
         if not 0 <= mode < self.dim:
             raise NetlistError(f"mode {mode} out of range for dim {self.dim}")
+
+
+def _mode_labels(space: ModeSpace) -> list[str]:
+    """space.mode_label(m) of every mode m, in mode order, in one pass."""
+    paths = [format(p, f"0{space.n_loc}b") for p in range(space.n_paths)] if space.n_loc else [""]
+    return [f"{path},{pol}" for path in paths for pol in (POL_H, POL_V)] if space.uses_pol else paths
 
 
 @dataclass(frozen=True)
@@ -288,7 +297,7 @@ def _pol_column(values: list, from_json: bool) -> np.ndarray:
     return np.array(codes, dtype=np.int8)
 
 
-_PARSE = {"a": _int_column, "angle": _angle_column, "pol": _pol_column}
+_PARSE = {"a": _int_column, "b": _int_column, "angle": _angle_column, "pol": _pol_column}
 
 
 def _permutations(rows: Sequence, n_paths: int, name: str) -> np.ndarray:
@@ -313,20 +322,23 @@ def _table(kind: np.ndarray, a: np.ndarray, b: np.ndarray, angle: np.ndarray, po
 
 
 def _decode(layers: list, n_paths: int, from_json: bool) -> ElementTable:
-    """The table of layers of element documents (to_doc() form); a field of
-    the wrong type raises NetlistFormatError when from_json, else NetlistError."""
-    docs = list(chain.from_iterable(layers))
-    codes = list(map(_TAG_CODE.get, map(itemgetter("type"), docs)))
+    """The table of layers of element documents (to_doc() form) when
+    from_json, else of element objects, read by their attributes as
+    _FIELD_COLUMNS maps them; a field of the wrong type raises
+    NetlistFormatError when from_json, else NetlistError."""
+    items = list(chain.from_iterable(layers))
+    tag = itemgetter("type") if from_json else attrgetter("tag")
+    codes = list(map(_TAG_CODE.get, map(tag, items)))
     if None in codes:
-        raise NetlistFormatError(f"unknown element type {docs[codes.index(None)].get('type')!r}")
-    kind, n = np.array(codes, dtype=np.int8), len(docs)
+        raise NetlistFormatError(f"unknown element type {items[codes.index(None)].get('type')!r}")
+    kind, n = np.array(codes, dtype=np.int8), len(items)
     columns = {"a": np.zeros(n, np.int64), "b": np.zeros(n, np.int64), "angle": np.zeros(n),
                "pol": np.full(n, POL_CODE_BOTH, np.int8)}
-    for code, keys in enumerate(_DOC_KEYS):  # the last kind, PERM, sets maps
+    for code, (keys, cls) in enumerate(zip(_DOC_KEYS, ELEMENT_KINDS)):  # PERM, the last, sets maps
         rows = np.flatnonzero(kind == code)
-        group = list(map(docs.__getitem__, rows.tolist()))
-        for key, column in keys:
-            values = list(map(itemgetter(key), group))
+        group = list(map(items.__getitem__, rows.tolist()))
+        for key, column in keys if from_json else zip(cls.__match_args__, _FIELD_COLUMNS[code]):
+            values = list(map((itemgetter if from_json else attrgetter)(key), group))
             if column == "map":
                 maps = [_int_column(list(m), from_json, "crossing map entry") for m in values]
             elif column != "ab":
@@ -466,8 +478,7 @@ class OpticalNetlist:
         for element in chain.from_iterable(layers):
             if not isinstance(element, ELEMENT_KINDS):
                 raise NetlistError(f"unknown element {element!r}")
-        docs = [[element.to_doc() for element in layer] for layer in layers]
-        _netlist(space, _decode(docs, space.n_paths, False), source_gates, output_relabel, self)
+        _netlist(space, _decode(layers, space.n_paths, False), source_gates, output_relabel, self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OpticalNetlist):
@@ -600,40 +611,58 @@ def _layer_gap(prev: int, k: int) -> str:
     return ("\n    ]," if prev >= 0 else "") + "\n    []," * (k - prev - 1) + "\n    "
 
 
-def _element_blocks(table: ElementTable, starts: list[int]) -> list[str]:
+def _element_blocks(table: ElementTable, starts: list[int]) -> Iterator[str]:
     """The elements' text, a block of rows a string. Row r of an index grid
     over a vocabulary of texts is element r's lead (a separator, or the gap
-    and "[" before layer starts[i]) and its kind's template; each distinct
-    path, angle (by its bits: -0.0 is not 0.0), pol and map is written once.
-    The grid's cells are int32 unless the vocabulary needs more."""
-    n = len(table.kind)
-    paths, path_index = np.unique(np.concatenate((table.a, table.b)), return_inverse=True)
+    and "[" before layer starts[i]) and its kind's template; each path that
+    an element or a crossing map names (by a mask, with no sort), angle
+    (by its bits: -0.0 is not 0.0), pol and map is written once, each map
+    from the path texts. The grid's cells are int32 unless the vocabulary
+    needs more."""
+    n, kind = len(table.kind), table.kind
+    used = np.zeros(table.maps.shape[1], bool)  # path p's text is vocabulary entry p, "" if unused
+    used[table.a[kind != PERM]] = used[table.b[np.isin(kind, (BS, PBS))]] = used[table.maps] = True
+    path_texts = [repr(path) if use else "" for path, use in enumerate(used.tolist())]
     angles, angle_index = np.unique(table.angle.view(np.int64), return_inverse=True)
     parts = [
         ["", ",\n      "],  # pads short rows; separates two elements of a layer
         [piece for pieces in _ELEMENT_TEMPLATES for piece in (pieces[::2] + ["", ""])[:4]],
-        list(map(int.__repr__, paths.tolist())),
+        path_texts,
         list(map(float.__repr__, angles.view(np.float64).tolist())),
         list(map(_json_string, _POL_FILTERS)),
-        [_json_list(map(int.__repr__, path_map.tolist()), 4) for path_map in table.maps],
+        [_json_list(map(path_texts.__getitem__, path_map), 4) for path_map in table.maps.tolist()],
         [_layer_gap(prev, k) + "[\n      " for prev, k in zip([-1, *starts], starts)],
     ]
     _, literal, path, angle, pol, maps, lead, size = np.cumsum([0, *map(len, parts)]).tolist()
-    slots = {"a": (path, path_index[:n]), "b": (path, path_index[n:]), "map": (maps, table.a),
+    slots = {"a": (path, table.a), "b": (path, table.b), "map": (maps, table.a),
              "angle": (angle, angle_index), "pol": (pol, table.pol.astype(np.int64))}
     # A row: a lead, three literal/slot pairs, a last literal; int32 halves int64's bytes.
     grid = np.zeros((n, 8), np.int32 if size < 1 << 31 else np.int64)
     grid[:, 0] = 1  # the separator, but the lead of each layer's first element
     grid[table.offsets[starts], 0] = lead + np.arange(len(starts))
-    grid[:, 1::2] = literal + np.arange(4) + 4 * table.kind[:, None]
+    grid[:, 1::2] = literal + np.arange(4) + 4 * kind[:, None]
     for code, pieces in enumerate(_ELEMENT_TEMPLATES):
-        rows = np.flatnonzero(table.kind == code)
+        rows = np.flatnonzero(kind == code)
         for col, slot in enumerate(pieces[1::2], 1):
             base, values = slots[slot]
             grid[rows, 2 * col] = base + values[rows]
     texts = np.array([text for part in parts for text in part], dtype=object)
-    return ["".join(texts.take(grid[i:i + _JSON_BLOCK].reshape(-1)).tolist())
-            for i in range(0, n, _JSON_BLOCK)]
+    for i in range(0, n, _JSON_BLOCK):
+        yield "".join(texts.take(grid[i:i + _JSON_BLOCK].reshape(-1)).tolist())
+
+
+def _json_pieces(netlist: OpticalNetlist) -> Iterator[str]:
+    """netlist_to_json's text in order: the head, each block of elements, the tail."""
+    space, n_layers = netlist.space, netlist.n_layers
+    starts = np.flatnonzero(np.diff(netlist.table.offsets)).tolist()  # the non-empty layers
+    end = _layer_gap(starts[-1] if starts else -1, n_layers).rstrip()[:-1]  # no last ","
+    meta = '"source_gates": ' + _json_list(map(_json_string, netlist.source_gates), 2)
+    if netlist.output_relabel is not None:
+        meta += ',\n    "output_relabel": ' + _json_list(map(int.__repr__, netlist.output_relabel), 2)
+    yield (f'{{\n  "version": 1,\n  "n_loc": {space.n_loc:d},\n'
+           f'  "uses_pol": {"true" if space.uses_pol else "false"},\n  "layers": [')
+    yield from _element_blocks(netlist.table, starts)
+    yield end + ("\n  ]" if n_layers else "]") + f',\n  "meta": {{\n    {meta}\n  }}\n}}\n'
 
 
 def netlist_to_json(netlist: OpticalNetlist) -> str:
@@ -644,36 +673,77 @@ def netlist_to_json(netlist: OpticalNetlist) -> str:
     output_relabel?}} over the views of netlist.layers, the tests' reference,
     with no pure-Python encoder, element object or format per element: the
     elements are one index grid over a text vocabulary (_element_blocks)."""
-    space, n_layers = netlist.space, netlist.n_layers
-    starts = np.flatnonzero(np.diff(netlist.table.offsets)).tolist()  # the non-empty layers
-    end = _layer_gap(starts[-1] if starts else -1, n_layers).rstrip()[:-1]  # no last ","
-    meta = '"source_gates": ' + _json_list(map(_json_string, netlist.source_gates), 2)
-    if netlist.output_relabel is not None:
-        meta += ',\n    "output_relabel": ' + _json_list(map(int.__repr__, netlist.output_relabel), 2)
-    return "".join([
-        f'{{\n  "version": 1,\n  "n_loc": {space.n_loc:d},\n'
-        f'  "uses_pol": {"true" if space.uses_pol else "false"},\n  "layers": [',
-        *_element_blocks(netlist.table, starts),
-        end + ("\n  ]" if n_layers else "]") + f',\n  "meta": {{\n    {meta}\n  }}\n}}\n',
-    ])
+    return "".join(_json_pieces(netlist))
 
 
 _WRITTEN_HEAD = re.compile(
     r'\{\n  "version": 1,\n  "n_loc": (\d+),\n  "uses_pol": (true|false),\n  "layers": \[')
 _WRITTEN_META = ',\n  "meta": '
-# The writer's layers text, its spaces and newlines dropped, rewritten to one
-# stream of numbers: inf and the kind code open an element, -inf a layer; a
-# pol filter is its code; keys and punctuation become spaces. After its code
-# an element holds a, then b or pol, then the angle, or a crossing its map.
-_STREAM_TOKENS = (
-    *((f'{{"type":"{kind.tag}","{keys[0][0]}":' + "[" * (keys[0][1] in ("ab", "map")),
-       f" inf {code} ") for code, (kind, keys) in enumerate(zip(ELEMENT_KINDS, _DOC_KEYS))),
-    *((f',"pol":"{pol}","phi":', f" {code} ") for code, pol in enumerate(_POL_FILTERS)),
-    ('],"theta":', " "),
-    ("[", " -inf "),
-)
-_STREAM_TOKENS = tuple((old.encode(), new.encode()) for old, new in _STREAM_TOKENS)
-_STREAM_PUNCT = bytes.maketrans(b",]}", b"   ")
+# The writer's layout, read back: an element's "{" sits at column 6 and a
+# layer's "[" at column 4. Each field of an element is the text that ends
+# its line (before a ","), the line found from the "{" line: the tag on the
+# next one, each slot of its kind's template where the template puts it,
+# a map's entries on the lines after its slot's. A tag or a pol filter is
+# told by the 4 bytes before its ",", which end its quoted text.
+_SLOT_LINES = tuple({slot: head.count("\n") for slot, head in zip(t[1::2], accumulate(t[::2]))}
+                    for t in _ELEMENT_TEMPLATES)
+_TAG_KEYS = np.array([f'"{kind.tag}"'[-4:] for kind in ELEMENT_KINDS], "S4").view(">u4")
+_POL_KEYS = np.array([_json_string(pol)[-4:].rjust(4) for pol in _POL_FILTERS], "S4").view(">u4")
+
+
+def _layout_ints(u8: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The ints whose texts end at ends, or just before a "," there: the
+    digits of the 8 bytes before, which hold every int the writer writes."""
+    ends = ends - (u8[ends - 1] == ord(","))
+    # A byte below "0" wraps past 9; einsum makes no int64 copy of the digits.
+    digits = sliding_window_view(u8, 8)[ends - 8] - np.uint8(ord("0"))
+    return np.einsum("...i,i", digits * (digits < 10), 10 ** np.arange(7, -1, -1))
+
+
+def _layout_codes(u8: np.ndarray, ends: np.ndarray, keys: np.ndarray = _POL_KEYS) -> np.ndarray:
+    """The index in keys (by default a pol filter's code) of the 4 bytes
+    before the "," that ends each line."""
+    return np.argmax(sliding_window_view(u8, 4)[ends - 5].view(">u4") == keys, axis=1)
+
+
+def _layout_floats(u8: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The floats whose texts end at ends, each the last word of the 24 bytes
+    before (a float's repr has at most 24). A window is its text's exact
+    key, so after one sort of the windows each distinct text is parsed once."""
+    windows = sliding_window_view(u8, 24)[ends - 24]
+    order = np.lexsort(windows.view(np.uint64).T)
+    first = np.append(True, (np.diff(windows.view(np.uint64)[order], axis=0) != 0).any(axis=1))
+    first, index = first[:len(order)], np.empty(len(order), np.int64)  # no texts, no first one
+    index[order] = np.cumsum(first) - 1
+    return np.array([float(bytes(text).split()[-1]) for text in windows[order[first]]])[index]
+
+
+_LAYOUT_READ = {"a": _layout_ints, "b": _layout_ints, "angle": _layout_floats, "pol": _layout_codes}
+
+
+def _layout_table(u8: np.ndarray, lo: int, hi: int, n_paths: int) -> ElementTable:
+    """The table of the layers text u8[lo:hi] of a text netlist_to_json
+    wrote, each field read on the line its layout gives (_SLOT_LINES).
+    Text in any other layout raises or reads as another table."""
+    # Each line's start and end, int32 while the text is under 2 GB.
+    starts = np.flatnonzero(u8[lo:hi] == 10).astype(np.int32 if hi < 1 << 31 else np.int64) + lo + 1
+    ends = np.concatenate((starts[1:] - 1, [hi]), dtype=starts.dtype)
+    elements = np.flatnonzero(u8[starts + 6] == ord("{"))
+    opens = np.flatnonzero(u8[starts + 4] == ord("["))
+    counts = np.diff(np.searchsorted(elements, np.append(opens, len(starts))))
+    kind = _layout_codes(u8, ends[elements + 1], _TAG_KEYS).astype(np.int8)
+    columns = {"a": np.zeros_like(kind, np.int64), "b": np.zeros_like(kind, np.int64),
+               "angle": np.zeros_like(kind, float), "pol": np.full_like(kind, POL_CODE_BOTH)}
+    for slot, read in _LAYOUT_READ.items():  # each column at once, over the kinds that have it
+        line = np.array([lines.get(slot, -1) for lines in _SLOT_LINES])[kind]
+        rows = np.flatnonzero(line >= 0)
+        columns[slot][rows] = read(u8, ends[elements[rows] + line[rows]])
+    perms = elements[kind == PERM]
+    if len(perms) * n_paths > len(starts):  # more entries than lines
+        raise IndexError("crossing maps overrun the text")
+    # A map's entries fill the lines after its slot's.
+    maps = _layout_ints(u8, ends[perms[:, None] + np.arange(n_paths) + _SLOT_LINES[PERM]["map"] + 1])
+    return _table(kind, *columns.values(), counts, maps, n_paths)
 
 
 def _read_written(text: str) -> OpticalNetlist | None:
@@ -683,38 +753,28 @@ def _read_written(text: str) -> OpticalNetlist | None:
     per element: about 48 MB of small objects for 110k elements. The few
     objects that outlive a load pin the allocator arenas those filled, so a
     process that loads netlist after netlist grew, and its peak memory
-    changed from run to run. This reads the layers as one number stream
-    instead, and takes the result only if writing it gives back the text
-    exactly; any other text is left to the document reader, errors and all."""
+    changed from run to run. This reads each field on the line the writer's
+    layout puts it on instead (_layout_table), frees the text's bytes,
+    and takes the result only if writing it gives back the text exactly,
+    compared a block at a time; any other text is left to the document
+    reader, errors and all."""
     head, end = _WRITTEN_HEAD.match(text), text.rfind(_WRITTEN_META)
     if head is None or end < 0:
         return None
     try:
-        with np.errstate(all="raise"), warnings.catch_warnings():
-            warnings.simplefilter("error")  # np.fromstring warns of a token it cannot read
-            space = ModeSpace(int(head[1]), head[2] == "true")
-            meta = json.loads(text[end + len(_WRITTEN_META):-2])
-            body = text[head.end():end].encode("ascii").translate(None, b" \n")
-            for old, new in _STREAM_TOKENS:
-                body = body.replace(old, new)
-            v = np.fromstring(body.translate(_STREAM_PUNCT), sep=" ")
-            marks = np.flatnonzero(np.isinf(v))
-            starts = marks[v[marks] > 0] + 2  # each element's a
-            counts = np.diff(np.searchsorted(starts, np.append(marks[v[marks] < 0], len(v))))
-            kind = v[starts - 1].astype(np.int8)
-            a, b_or_pol, angle = np.append(v, (0.0, 0.0))[starts + np.arange(3)[:, None]]
-            pair, shifter, crossing = (kind == BS) | (kind == PBS), kind == PS, kind == PERM
-            table = _table(kind, np.where(crossing, 0, a).astype(np.int64),
-                           np.where(pair, b_or_pol, 0).astype(np.int64),
-                           np.where((kind == BS) | shifter, angle, 0.0),
-                           np.where(shifter, b_or_pol, POL_CODE_BOTH).astype(np.int8), counts,
-                           v[starts[crossing][:, None] + np.arange(space.n_paths)].astype(np.int64),
-                           space.n_paths)
-            net = _netlist(space, table, meta["source_gates"], meta.get("output_relabel"))
-    except (ArithmeticError, AttributeError, LookupError, RecursionError, TypeError,
-            ValueError, Warning):  # not the writer's text: the document reader says why
-        return None
-    return net if netlist_to_json(net) == text else None
+        space = ModeSpace(int(head[1]), head[2] == "true")
+        meta = json.loads(text[end + len(_WRITTEN_META):-2])
+        table = _layout_table(np.frombuffer(text.encode("ascii"), np.uint8), head.end(), end,
+                              space.n_paths)  # the text's bytes live only for the call
+        net = _netlist(space, table, meta["source_gates"], meta.get("output_relabel"))
+    except (ArithmeticError, AttributeError, LookupError, RecursionError, TypeError, ValueError):
+        return None  # not the writer's text: the document reader says why
+    at = 0
+    for piece in _json_pieces(net):
+        if not text.startswith(piece, at):
+            return None
+        at += len(piece)
+    return net if at == len(text) else None
 
 
 def netlist_from_json(text: str) -> OpticalNetlist:

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from photonc import optics
-from photonc.compiler import device_stats, prune_dead_paths
+from photonc.compiler import QubitAssignment, compile_circuit, device_stats, prune_dead_paths
 from photonc.optics import (
     POL_BOTH,
     POL_H,
@@ -37,6 +37,8 @@ from photonc.optics import (
     propagate,
 )
 from photonc.optics import _kernel_rows
+
+from conftest import random_circuit
 
 ANGLES = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
 
@@ -168,6 +170,27 @@ def test_writer_text_reads_as_its_document(net, notes):
     assert netlist_to_json(read) == text
 
 
+@pytest.mark.parametrize("net", [
+    OpticalNetlist(ModeSpace(20), ((BeamSplitter(0, 1048575, 0.5), PhaseShifter(1048574, 1.0)),
+                                   (PhaseShifter(1048575, 2.0),))),
+    OpticalNetlist(ModeSpace(2, True), (
+        (BeamSplitter(0, 1, -2.2250738585072014e-308), BeamSplitter(2, 3, 2.2250738585072014e-308)),
+        (PhaseShifter(0, -2.2250738585072014e-308, POL_H), PhaseShifter(1, 2.2250738585072014e-308),
+         PhaseShifter(2, -0.0, POL_V), PhaseShifter(3, 0.0)),
+        (BeamSplitter(0, 3, 5e-324), BeamSplitter(1, 2, 1e16)),
+        (PhaseShifter(0, 5e-324), PhaseShifter(1, 1e16, POL_V), PhaseShifter(2, -0.0)))),
+], ids=["widest-path", "angle-texts"])
+def test_layout_reader_reads_number_texts_at_their_limits(net):
+    # The longest path text, and angle texts of 24 characters (one sign
+    # apart), a subnormal, an exponent with "+" and a signed zero, each at
+    # the splitter's and at the shifter's place: read by the layout reader
+    # exactly as the document reader reads them, bit for bit.
+    text = netlist_to_json(net)
+    read, document = optics._read_written(text), netlist_from_json(text + " ")
+    assert read is not None and read == document == net
+    assert np.array_equal(read.table.angle.view(np.int64), document.table.angle.view(np.int64))
+
+
 @pytest.mark.parametrize("old, new", [
     ('"theta": 0.5', '"theta": NaN'),
     ('"theta": 0.5', '"theta": true'),
@@ -177,19 +200,41 @@ def test_writer_text_reads_as_its_document(net, notes):
     ('"n_loc": 1', '"n_loc": 40'),
     ('"type": "bs"', '"type": "pbs"'),
     ('      ""', "      3"),
+    ("          1\n", "          01\n"),
+    ("          1\n", "          0_1\n"),
+    ("          1\n", "          +1\n"),
+    ("          1\n", "          10000001\n"),
+    ('"paths"', '"pathz"'),
+    ("\n      {", "\n       {"),
 ], ids=["nan-angle", "bool-angle", "float-path", "same-paths", "path-range", "too-wide",
-        "unpolarized-pbs", "int-note"])
+        "unpolarized-pbs", "int-note", "leading-zero", "underscore", "plus-sign", "8-digit-path",
+        "key-typo", "indent"])
 def test_edited_writer_text_fails_as_its_document(old, new):
-    # An edit that the number stream misreads or refuses leaves the text to
-    # the document reader: the same error as the text read as a document.
+    # An edit that the layout reader misreads or refuses leaves the text to
+    # the document reader: the same error (or, for a valid edit such as a
+    # changed indent, the same netlist) as the text read as a document.
+    def outcome(text):
+        try:
+            return netlist_from_json(text)
+        except ValueError as exc:
+            return type(exc), str(exc)
+
     text = netlist_to_json(OpticalNetlist(ModeSpace(1), ((BeamSplitter(0, 1, 0.5),),)))
     assert old in text
     text = text.replace(old, new)
-    with pytest.raises(ValueError) as streamed:
-        netlist_from_json(text)
-    with pytest.raises(ValueError) as document:
-        netlist_from_json(text + " ")
-    assert (type(streamed.value), str(streamed.value)) == (type(document.value), str(document.value))
+    streamed = outcome(text)
+    assert streamed == outcome(text + " ")
+    assert isinstance(streamed, OpticalNetlist) == (old == "\n      {")  # the one valid edit
+
+
+def test_layout_reader_reads_a_compiled_wide_circuit():
+    # A 12-qubit, 44-gate circuit with a pol qubit (about 100k elements)
+    # must take the layout reader, not fall back to the document reader.
+    circuit = random_circuit(np.random.default_rng(149), 12, 44)
+    text = netlist_to_json(compile_circuit(circuit, QubitAssignment.default(12, 6)))
+    read = optics._read_written(text)
+    assert read is not None
+    assert read == netlist_from_json(text + " ")
 
 
 SWAP_01 = Crossing((1, 0, 2, 3))

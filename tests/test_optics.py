@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from photonc import optics
 from photonc.circuit import HADAMARD, PAULI_X, parse_circuit
 from photonc.compiler import CompileOptions, compile_circuit, prune_dead_paths
 from photonc.optics import (
@@ -72,6 +73,12 @@ class TestModeSpace:
         assert space.n_paths == 1
         assert space.dim == 2
         assert space.mode_of("", POL_H) == 0
+
+    @pytest.mark.parametrize("n_loc", [0, 1, 3])
+    @pytest.mark.parametrize("uses_pol", [False, True])
+    def test_mode_labels_in_one_pass(self, n_loc, uses_pol):
+        space = ModeSpace(n_loc, uses_pol)
+        assert optics._mode_labels(space) == [space.mode_label(m) for m in range(space.dim)]
 
     def test_mode_of_bit_sequence(self):
         space = ModeSpace(3)
