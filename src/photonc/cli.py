@@ -14,13 +14,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .circuit import CircuitParseError, QuantumCircuit, parse_circuit
-from .compiler import (
-    CompileError,
-    CompileOptions,
-    QubitAssignment,
-    compile_circuit,
-    device_stats,
-)
+from .compiler import CompileError, QubitAssignment, compile_circuit, device_stats
 from .diagram import render_diagram
 from .equivalence import basis_order, global_phase_distance
 from .optics import (
@@ -30,9 +24,9 @@ from .optics import (
     NetlistFormatError,
     OpticalNetlist,
     SpaceTooLargeError,
+    _json_pieces,
     _mode_labels,
     netlist_from_json,
-    netlist_to_json,
     netlist_unitary,
     propagate,
 )
@@ -60,23 +54,28 @@ def _load_netlist(path: str) -> OpticalNetlist:
 
 
 def _parse_assignment(text: str, n_qubits: int) -> QubitAssignment:
-    """Parse 'loc=0,2;pol=1' (either part optional)."""
+    """Parse 'loc=0,2;pol=1' (either part optional, neither repeated)."""
     loc: tuple[int, ...] | None = None
     pol: int | None = None
+    seen: set[str] = set()
     for part in text.split(";"):
         part = part.strip()
         if not part:
             continue
         key, sep, value = part.partition("=")
+        key = key.strip()
         if not sep:
             raise _UsageError(f"bad assignment part {part!r}, expected key=value")
+        if key in seen:
+            raise _UsageError(f"repeated assignment key {key!r}")
+        seen.add(key)
         try:
-            if key.strip() == "loc":
-                loc = tuple(int(tok) for tok in value.split(",") if tok.strip())
-            elif key.strip() == "pol":
+            if key == "loc":  # int("") refuses the empty entry of "0,,1"; a bare "loc=" is ()
+                loc = tuple(map(int, value.split(","))) if value.strip() else ()
+            elif key == "pol":
                 pol = int(value)
             else:
-                raise _UsageError(f"unknown assignment key {key.strip()!r}")
+                raise _UsageError(f"unknown assignment key {key!r}")
         except ValueError:
             raise _UsageError(f"bad assignment value in {part!r}") from None
     try:
@@ -133,20 +132,17 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         support = frozenset({_parse_input_mode(assignment.mode_space(), args.input)})
     if args.prune and support is None:
         raise _UsageError("--prune needs --input to say where the photon enters")
-    options = CompileOptions(
-        input_support=support if args.prune else None,
-        relabel_terminal_crossings=not args.no_relabel,
-    )
-    netlist = compile_circuit(circuit, assignment, options)
-    text = netlist_to_json(netlist)
-    if args.output:
+    netlist = compile_circuit(circuit, assignment, input_support=support if args.prune else None,
+                              relabel_terminal_crossings=not args.no_relabel)
+    if args.output:  # written a block at a time: the whole text is never held
         try:
-            Path(args.output).write_text(text, encoding="utf-8")
+            with open(args.output, "w", encoding="utf-8") as out:
+                out.writelines(_json_pieces(netlist))
         except OSError as exc:
             raise _UsageError(f"cannot write {args.output}: {exc}") from None
         print(f"wrote {args.output}: {netlist.n_layers} layer(s), {netlist.n_elements} element(s)")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(_json_pieces(netlist))
     return 0
 
 

@@ -28,9 +28,13 @@ precision. Each stage is emitted as column layers (Column: one element kind
 on a masked path array, like one column of a Reck or Clements mesh), so a
 gate costs a few array operations, not an object per path. Adjacent rotator
 layers merge to their symmetric difference, trailing crossings can become an
-output-port relabeling, and the columns form one checked ElementTable
-(optics builds it and owns the JSON format); lower_gate and prepare_*
-return element views of the same columns.
+output-port relabeling (unless relabel_terminal_crossings is false), and the
+columns form one checked ElementTable (optics builds it and owns the JSON
+format), pruned for the entry modes of input_support when it is given;
+lower_gate and prepare_* return element views of the same columns. Each
+input is checked once, where it arrives: a circuit's gates by
+QuantumCircuit, one lower_gate call's gate by lower_gate, and an input
+support by prune_dead_paths.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ from .optics import (
 
 
 class CompileError(ValueError):
-    """Gate, assignment, or option combination that cannot be lowered."""
+    """Gate or assignment that cannot be lowered, or an empty pruning support."""
 
 
 @dataclass(frozen=True)
@@ -129,21 +133,6 @@ class QubitAssignment:
 
     def path_delta(self, qubit: int) -> int:
         return 1 << (self.n_loc - 1 - self.path_bit(qubit))
-
-
-@dataclass(frozen=True)
-class CompileOptions:
-    input_support: frozenset[int] | None = None  # given: prune for these entry modes
-    relabel_terminal_crossings: bool = True
-
-    def __post_init__(self):
-        if self.input_support is not None:
-            object.__setattr__(self, "input_support", frozenset(self.input_support))
-            for mode in self.input_support:
-                if type(mode) is not int:
-                    raise CompileError(f"input mode {mode!r} is not an int")
-            if not self.input_support:
-                raise CompileError("pruning needs a nonempty input support")
 
 
 @dataclass(frozen=True)
@@ -306,8 +295,7 @@ def _pbs_stage(
 
 
 def _crossing_stage(path_map: np.ndarray) -> list[Column]:
-    if (path_map == np.arange(len(path_map))).all():
-        return []
+    # Never the identity: a flip or an exchange always moves a path.
     return [Column(PERM, np.zeros(1, np.int64), path_map=path_map)]
 
 
@@ -359,7 +347,6 @@ _PHASE_ANGLES = {GateKind.Z: math.pi, GateKind.S: math.pi / 2, GateKind.CZ: math
 def _lower_columns(gate: Gate, assignment: QubitAssignment) -> list[Column]:
     """Column layers realizing one gate exactly (no global-phase slack)."""
     kind, qs = gate.kind, gate.qubits
-    gate.validate_for(assignment.n_qubits)
     on_pol = kind.n_qubits == 1 and assignment.is_pol(qs[0])
     if kind in (GateKind.CNOT, GateKind.TOFFOLI) or (on_pol and kind is GateKind.X):
         return _flip(assignment, qs[-1], qs[:-1])
@@ -384,6 +371,7 @@ def _lower_columns(gate: Gate, assignment: QubitAssignment) -> list[Column]:
 def lower_gate(gate: Gate, assignment: QubitAssignment) -> list[list[OpticalElement]]:
     """Layers realizing one gate exactly (no global-phase slack), as element
     views of the column layers compile_circuit lowers it to."""
+    gate.validate_for(assignment.n_qubits)
     return _element_layers(_lower_columns(gate, assignment), assignment.mode_space())
 
 
@@ -419,15 +407,18 @@ def _extract_terminal_relabel(
 def compile_circuit(
     circuit: QuantumCircuit,
     assignment: QubitAssignment | None = None,
-    options: CompileOptions | None = None,
+    *,
+    input_support: Iterable[int] | None = None,
+    relabel_terminal_crossings: bool = True,
 ) -> OpticalNetlist:
     """Lower a whole circuit to an optical netlist, gates in circuit order:
     column layers, concatenated into one table that the netlist checks. Each
-    distinct gate text is lowered once per call; its repeats share the columns."""
+    distinct gate text is lowered once per call; its repeats share the columns.
+    Trailing crossings become an output relabeling unless
+    relabel_terminal_crossings is false, and given an input_support the
+    netlist is pruned for those entry modes (prune_dead_paths)."""
     if assignment is None:
         assignment = QubitAssignment.for_circuit(circuit)
-    if options is None:
-        options = CompileOptions()
     if assignment.n_qubits != circuit.n_qubits:
         raise CompileError(
             f"assignment covers {assignment.n_qubits} qubit(s), circuit has {circuit.n_qubits}"
@@ -447,10 +438,10 @@ def compile_circuit(
         notes += [f"g{index}: {text}"] * len(lowered[text])
     layers, notes = _cancel_adjacent_rotators(layers, notes)
     relabel = (_extract_terminal_relabel(layers, notes, space)
-               if options.relabel_terminal_crossings else None)
+               if relabel_terminal_crossings else None)
     netlist = _netlist(space, _column_table(layers, space.n_paths), notes, relabel)
-    if options.input_support is not None:
-        netlist = prune_dead_paths(netlist, options.input_support)
+    if input_support is not None:
+        netlist = prune_dead_paths(netlist, input_support)
     return netlist
 
 

@@ -64,10 +64,7 @@ def state_fidelity(reference, candidate) -> float:
 def basis_order(assignment: QubitAssignment) -> np.ndarray:
     """The basis index of each photon mode (the basis indices' bit axes in
     mode bit order), so u[order][:, order] is u on the modes, no dim^2 bridge."""
-    space = assignment.mode_space()
     n = assignment.n_qubits
-    if space.dim != 1 << n:
-        raise ValueError("assignment mode space does not match the qubit dimension")
     pol = () if assignment.pol_qubit is None else (assignment.pol_qubit,)
     return np.arange(1 << n).reshape((2,) * n).transpose((*assignment.location_order, *pol)).ravel()
 

@@ -54,7 +54,9 @@ source gate that is not a str). Element objects are views that net.layers,
 net.elements(), element_modes and element_unitary build on demand; the
 kernel, stats, pruning, diagram and JSON writer read the columns. The JSON
 format lives here: each kind's keys are spelled in its to_doc and in
-_DOC_KEYS, which the decoder and the writer both read.
+_DOC_KEYS, which the decoder and the writer both read. The writer yields
+the text a block of elements at a time (_json_pieces): netlist_to_json
+joins the blocks, and CLI compile writes them as they come.
 
 A layer (disjoint 2x2 blocks, phases and path swaps, like a column of a Reck
 or Clements mesh) applies as one gather update x[t] = c0*x[s0] + c1*x[s1]
@@ -96,12 +98,12 @@ class SpaceTooLargeError(NetlistError):
 
 # `h` on a location qubit puts 1.5 elements on each path, so one gate's
 # netlist grows with 2^n_loc. For a lone `h 0` (2-vCPU host), compile_circuit
-# took 7 / 25 / 90 ms at 14 / 16 / 18 path bits, and CLI `compile`, mostly
-# its JSON writer, about 0.07 / 0.28 / 0.86 s at 50 / 98 / 283 MB peak for
-# a 6 / 25 / 100 MB file: x4 per two bits, so about 3.5 s / 1.1 GB for a
-# 400 MB file at 20 and 14 s / 4.5 GB at 22. 20 bits is the widest space
-# whose one-gate netlist file stays under a gigabyte; past it, ModeSpace
-# refuses before any loop starts.
+# took 3 / 14 / 55 / 178 ms at 14 / 16 / 18 / 20 path bits, and CLI
+# `compile`, which writes its file a block at a time, 0.02 / 0.10 / 0.36 /
+# 1.4 s at 37 / 49 / 100 / 304 MB peak RSS for a 3 / 12 / 50 / 200 MB file:
+# x4 per two bits, so about 6 s / 1.2 GB for an 800 MB file at 22. At 20
+# bits one gate's `compile` stays within a third of a gigabyte; past 20,
+# ModeSpace refuses before any loop starts.
 MAX_PATH_BITS = 20
 
 
@@ -158,20 +160,12 @@ class ModeSpace:
             raise NetlistError("space has no polarization modes")
         return path
 
-    def path_of(self, mode: int) -> int:
-        self._check_mode(mode)
-        return mode >> 1 if self.uses_pol else mode
-
-    def pol_of(self, mode: int) -> str | None:
-        self._check_mode(mode)
-        if not self.uses_pol:
-            return None
-        return POL_V if mode & 1 else POL_H
-
     def mode_label(self, mode: int) -> str:
+        """The path bits of a mode, then ",H" or ",V" on a polarized space."""
         self._check_mode(mode)
-        bits = format(self.path_of(mode), f"0{self.n_loc}b") if self.n_loc else ""
-        return f"{bits},{self.pol_of(mode)}" if self.uses_pol else bits
+        path = mode >> 1 if self.uses_pol else mode
+        bits = format(path, f"0{self.n_loc}b") if self.n_loc else ""
+        return f"{bits},{POL_V if mode & 1 else POL_H}" if self.uses_pol else bits
 
     def _check_mode(self, mode: int) -> None:
         if type(mode) is not int:

@@ -12,7 +12,6 @@ import numpy as np
 
 from photonc.circuit import HADAMARD, PAULI_X, parse_circuit
 from photonc.compiler import (
-    CompileOptions,
     QubitAssignment,
     compile_circuit,
     decompose_u2,

@@ -104,6 +104,9 @@ class TestParsing:
         "text,line,fragment",
         [
             ("h 0\n", 1, "qubits"),
+            ("qubits 2 3\n", 1, "qubits takes one argument"),
+            ("qubits 2\npol 0 1\n", 2, "pol takes one argument"),
+            ("qubits 2\nphase 0 inf\n", 2, "malformed angle 'inf'"),
             ("qubits 2\nqubits 2\n", 2, "duplicate qubits"),
             ("qubits 0\n", 1, "at least 1"),
             ("qubits x\n", 1, "bad qubit count"),

@@ -115,9 +115,24 @@ class TestCompile:
         assert main(["compile", teleport_qc, "--assignment", "loc=2,0;pol=1"]) == 0
         json.loads(capsys.readouterr().out)
 
-    def test_bad_assignment_spec(self, teleport_qc, capsys):
-        assert main(["compile", teleport_qc, "--assignment", "loc=0;pol=1"]) == 2
-        assert main(["compile", teleport_qc, "--assignment", "bogus"]) == 2
+    @pytest.mark.parametrize("spec, message", [
+        ("loc=0;pol=1", "every qubit exactly once"),
+        ("bogus", "expected key=value"),
+        ("foo=1", "unknown assignment key 'foo'"),
+        ("loc=x", "bad assignment value in 'loc=x'"),
+        ("pol=1;pol=0", "repeated assignment key 'pol'"),  # was read as pol=0
+        ("loc=0,,2;pol=1", "bad assignment value in 'loc=0,,2'"),  # was read as loc=0,2
+    ])
+    def test_bad_assignment_spec(self, teleport_qc, capsys, spec, message):
+        assert main(["compile", teleport_qc, "--assignment", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    def test_bare_loc_lists_no_location_qubit(self, tmp_path, capsys):
+        qc = tmp_path / "pol_only.qc"
+        qc.write_text("qubits 1\npol 0\nx 0\n", encoding="utf-8")
+        assert main(["compile", str(qc), "--assignment", "loc=;pol=0"]) == 0
+        assert json.loads(capsys.readouterr().out)["n_loc"] == 0
 
 
 class TestVerify:
@@ -149,7 +164,7 @@ class TestVerify:
         assert main(["verify", teleport_qc, str(nudged)]) == 1
         assert main(["verify", teleport_qc, str(nudged), "--tol", "1e-3"]) == 0
 
-    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "abc"])
     def test_tolerance_must_be_finite_and_non_negative(self, teleport_qc, teleport_netlist,
                                                        capsys, tol):
         assert main(["verify", teleport_qc, teleport_netlist, "--tol", tol]) == 2
@@ -265,8 +280,9 @@ class TestMalformedNetlist:
         (("layers", 1), {}, "layers must be a JSON list of element lists"),
         (("meta",), [], "meta must be a JSON object"),
         (("layers", 1, 0, "pol"), None, "invalid netlist document: missing key 'pol'"),
+        (("layers", 0, 0, "paths", 1), 2**70, "invalid netlist document: path out of range"),
     ], ids=["source-gates-str", "layers-object", "layer-object", "meta-list",
-            "missing-pol"])
+            "missing-pol", "int64-overflow"])
     def test_malformed_fields_are_named(self, tmp_path, capsys, path, value, message):
         doc = self.two_layers()
         holder = reduce(getitem, path[:-1], doc)
@@ -300,6 +316,13 @@ class TestRun:
 
     def test_rejects_wrong_bit_count(self, teleport_netlist, capsys):
         assert main(["run", teleport_netlist, "--input", "000,H"]) == 2
+
+    def test_rejects_pol_when_unpolarized(self, tmp_path, capsys):
+        qc, netlist = tmp_path / "plain.qc", tmp_path / "plain.json"
+        qc.write_text("qubits 2\nh 0\n", encoding="utf-8")
+        assert main(["compile", str(qc), "-o", str(netlist)]) == 0
+        assert main(["run", str(netlist), "--input", "00,H"]) == 2
+        assert "has no polarization" in capsys.readouterr().err
 
 
 class TestStats:

@@ -27,7 +27,6 @@ from photonc.circuit import (
 from photonc.compiler import (
     _DEGENERATE,
     CompileError,
-    CompileOptions,
     QubitAssignment,
     U2Decomposition,
     compile_circuit,
@@ -452,11 +451,12 @@ def repetitive_circuits(draw):
                                                      min_size=kind.n_params,
                                                      max_size=kind.n_params))))
     gates = draw(st.lists(st.sampled_from(pool), max_size=16))
-    options = CompileOptions(draw(st.sampled_from([None, frozenset({0})])), draw(st.booleans()))
+    options = {"input_support": draw(st.sampled_from([None, frozenset({0})])),
+               "relabel_terminal_crossings": draw(st.booleans())}
     return QuantumCircuit(n, tuple(gates)), QubitAssignment(n, order, pol), options
 
 
-def compiled_gate_by_gate(circuit, assignment, options):
+def compiled_gate_by_gate(circuit, assignment, input_support, relabel_terminal_crossings):
     """compile_circuit's netlist with every gate lowered on its own."""
     layers, notes = [], []
     for index, gate in enumerate(circuit.gates):
@@ -466,9 +466,9 @@ def compiled_gate_by_gate(circuit, assignment, options):
     layers, notes = compiler._cancel_adjacent_rotators(layers, notes)
     space = assignment.mode_space()
     relabel = (compiler._extract_terminal_relabel(layers, notes, space)
-               if options.relabel_terminal_crossings else None)
+               if relabel_terminal_crossings else None)
     net = compiler._netlist(space, compiler._column_table(layers, space.n_paths), notes, relabel)
-    return net if options.input_support is None else prune_dead_paths(net, options.input_support)
+    return net if input_support is None else prune_dead_paths(net, input_support)
 
 
 @given(repetitive_circuits())
@@ -476,12 +476,12 @@ def compiled_gate_by_gate(circuit, assignment, options):
 def test_repeated_gates_compile_as_if_lowered_alone(case):
     circuit, asg, options = case
     try:
-        reference = compiled_gate_by_gate(circuit, asg, options)
+        reference = compiled_gate_by_gate(circuit, asg, **options)
     except CompileError:  # h or u2 on the polarization qubit with no location qubit
         with pytest.raises(CompileError):
-            compile_circuit(circuit, asg, options)
+            compile_circuit(circuit, asg, **options)
         return
-    net = compile_circuit(circuit, asg, options)
+    net = compile_circuit(circuit, asg, **options)
     assert net == reference
     assert netlist_to_json(net) == netlist_to_json(reference)  # angle bits: -0.0 is not 0.0
 
@@ -516,14 +516,14 @@ class TestTerminalRelabel:
 
     def test_no_relabel_option_keeps_crossing(self):
         circ = parse_circuit("qubits 2\nh 0\ncnot 0 1\n")
-        net = compile_circuit(circ, options=CompileOptions(relabel_terminal_crossings=False))
+        net = compile_circuit(circ, relabel_terminal_crossings=False)
         assert net.output_relabel is None
         assert device_stats(net).crossings == 1
 
     def test_both_forms_equivalent(self):
         circ = parse_circuit("qubits 2\nh 0\ncnot 0 1\nswap 0 1\n")
         a = compile_circuit(circ)
-        b = compile_circuit(circ, options=CompileOptions(relabel_terminal_crossings=False))
+        b = compile_circuit(circ, relabel_terminal_crossings=False)
         assert np.max(np.abs(netlist_unitary(a) - netlist_unitary(b))) < 1e-15
 
     def test_consecutive_crossings_compose(self):
@@ -638,20 +638,16 @@ class TestPrune:
         # [1.9] used to prune for mode 1.
         with pytest.raises(NetlistError, match="not an int"):
             prune_dead_paths(self.netlist, [mode])
-        with pytest.raises(CompileError, match="not an int"):
-            CompileOptions(input_support={mode})
+        with pytest.raises(NetlistError, match="not an int"):
+            compile_circuit(self.circuit, self.assignment, input_support={mode})
 
     def test_compile_option_prunes(self):
-        net = compile_circuit(
-            self.circuit,
-            self.assignment,
-            CompileOptions(input_support=frozenset({0})),
-        )
+        net = compile_circuit(self.circuit, self.assignment, input_support={0})
         assert net == self.pruned
 
     def test_prune_option_requires_support(self):
         with pytest.raises(CompileError, match="nonempty input support"):
-            CompileOptions(input_support=frozenset())
+            compile_circuit(self.circuit, self.assignment, input_support=frozenset())
 
     def test_empty_layers_dropped(self):
         assert all(layer for layer in self.pruned.layers)

@@ -1,7 +1,7 @@
 import pytest
 
 from photonc.circuit import parse_circuit
-from photonc.compiler import CompileOptions, QubitAssignment, compile_circuit
+from photonc.compiler import QubitAssignment, compile_circuit
 from photonc.diagram import render_diagram
 from photonc.optics import ModeSpace, OpticalNetlist, PhaseShifter
 
@@ -10,11 +10,7 @@ def pruned_teleport():
     circ = parse_circuit(
         "qubits 3\npol 1\nh 0\nh 2\ncnot 0 1\ncnot 2 1\nh 0\ncnot 1 2\nh 2\ncnot 0 2\n"
     )
-    return compile_circuit(
-        circ,
-        QubitAssignment.for_circuit(circ),
-        CompileOptions(input_support=frozenset({0})),
-    )
+    return compile_circuit(circ, QubitAssignment.for_circuit(circ), input_support={0})
 
 
 class TestRenderDiagram:

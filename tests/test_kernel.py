@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from photonc import optics
+from photonc.cli import main
 from photonc.compiler import QubitAssignment, compile_circuit, device_stats, prune_dead_paths
 from photonc.optics import (
     POL_BOTH,
@@ -225,6 +226,18 @@ def test_edited_writer_text_fails_as_its_document(old, new):
     streamed = outcome(text)
     assert streamed == outcome(text + " ")
     assert isinstance(streamed, OpticalNetlist) == (old == "\n      {")  # the one valid edit
+
+
+def test_crossing_map_longer_than_the_text_is_left_to_the_document_reader(tmp_path, capsys):
+    # At n_loc 12 a crossing's map needs 4096 lines, more than the text has:
+    # the layout reader refuses it, and the document reader says why.
+    text = netlist_to_json(OpticalNetlist(ModeSpace(2), ((Crossing((1, 0, 2, 3)),),)))
+    text = text.replace('"n_loc": 2', '"n_loc": 12')
+    assert optics._read_written(text) is None
+    path = tmp_path / "wide.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["stats", str(path)]) == 2
+    assert "crossing map must permute all path indices" in capsys.readouterr().err
 
 
 def test_layout_reader_reads_a_compiled_wide_circuit():

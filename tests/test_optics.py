@@ -6,7 +6,7 @@ import pytest
 
 from photonc import optics
 from photonc.circuit import HADAMARD, PAULI_X, parse_circuit
-from photonc.compiler import CompileOptions, compile_circuit, prune_dead_paths
+from photonc.compiler import compile_circuit, prune_dead_paths
 from photonc.optics import (
     BS,
     MAX_PATH_BITS,
@@ -64,8 +64,6 @@ class TestModeSpace:
         assert space.n_paths == 4
         assert space.dim == 8
         assert space.mode_of("10", POL_V) == 5
-        assert space.path_of(5) == 2
-        assert space.pol_of(5) == POL_V
         assert space.mode_label(5) == "10,V"
 
     def test_pol_only_space(self):
@@ -122,6 +120,10 @@ class TestModeSpace:
             ModeAmplitudes.basis(ModeSpace(1), mode)
         with pytest.raises(NetlistError, match="not an int"):
             ModeSpace(1).mode_label(mode)
+
+    def test_negative_count_refused(self):
+        with pytest.raises(NetlistError, match="negative location qubit count"):
+            ModeSpace(-1)
 
     def test_size_cap(self):
         # Builds no array: a ModeSpace holds only its two header fields.
@@ -313,7 +315,7 @@ def test_crossing_maps_are_one_read_only_array_in_crossing_order(source):
         net = netlist_from_json(netlist_to_json(net))
     elif source == "compiled":  # cnot 1 0, swap 0 1 and cnot 0 1 on paths q0 q1
         circuit = parse_circuit("qubits 2\ncnot 1 0\nh 0\nswap 0 1\ncnot 0 1\n")
-        net = compile_circuit(circuit, options=CompileOptions(relabel_terminal_crossings=False))
+        net = compile_circuit(circuit, relabel_terminal_crossings=False)
         maps = [(0, 3, 2, 1), (0, 2, 1, 3), (0, 1, 3, 2)]
     elif source == "pruned":  # from path 0, the middle crossing moves only dark paths
         net = prune_dead_paths(net, {0})
