@@ -50,7 +50,15 @@ def _load_circuit(path: str) -> QuantumCircuit:
 
 
 def _load_netlist(path: str) -> OpticalNetlist:
-    return netlist_from_json(_read_text(path))
+    """The netlist in a file, loaded from its bytes: the one copy of the file."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise _UsageError(f"cannot read {path}: {exc}") from None
+    try:
+        return netlist_from_json(data)
+    except UnicodeDecodeError as exc:  # raised where the document reader decodes the bytes
+        raise _UsageError(f"cannot read {path}: {exc}") from None
 
 
 def _parse_assignment(text: str, n_qubits: int) -> QubitAssignment:

@@ -450,7 +450,8 @@ def prune_dead_paths(netlist: OpticalNetlist, input_support: Iterable[int]) -> O
 
     Liveness is tracked as a set of possibly-nonzero modes, element by
     element in netlist order over the table's footprints; a kept element
-    marks its whole footprint live, and emptied layers are dropped.
+    marks its whole footprint live, and emptied layers are dropped. Once
+    every mode is live, each later element is kept iff it occupies a mode.
     Propagation through the pruned netlist matches the original for any
     input supported on input_support.
     """
@@ -470,6 +471,9 @@ def prune_dead_paths(netlist: OpticalNetlist, input_support: Iterable[int]) -> O
         if not live.isdisjoint(touched):
             keep[row] = True
             live.update(touched)
+            if len(live) == space.dim:
+                keep[row + 1:] = np.diff(bounds[row + 1:]) > 0
+                break
     return netlist.subset(keep)
 
 

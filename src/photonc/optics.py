@@ -44,9 +44,10 @@ One builder, _table, makes every table (offsets, crossing numbers, maps
 checked to permute the paths) for one decoder, _decode, of element documents
 (the JSON loader's) or of element objects (the constructor's, by the
 attributes each to_doc reads), the loader's reader of the writer's own text
-(_read_written: one newline scan, then each field read from the end of the
+(_read_written, on the ASCII bytes a file is read into, with no copy: a
+newline scan a chunk at a time, then each field read from the end of the
 line the writer's indent-2 layout puts it on; kept only if writing the
-netlist back gives the same text, compared a block at a time), the
+netlist back gives the same bytes, compared a chunk at a time), the
 compiler's columns and subset; then one vectorized checker, _check, checks
 path ranges, distinct pairs, polarized-only kinds, finite angles and
 disjoint layers by one sort of (layer, mode) keys (and _netlist refuses a
@@ -61,12 +62,14 @@ joins the blocks, and CLI compile writes them as they come.
 A layer (disjoint 2x2 blocks, phases and path swaps, like a column of a Reck
 or Clements mesh) applies as one gather update x[t] = c0*x[s0] + c1*x[s1]
 to a vector or the rows of a block, shared by propagate, netlist_unitary
-and element_unitary. Each call builds the rows of the whole netlist, over
-modes path*w + pol (w = 2 on a polarized space, else 1), one per footprint
-mode and ordered by element, so a layer is one slice; as each row stays in
-its element's modes, a layer updates at once. verify stays independent of
-the kernel through the statevec oracle, and the element conventions
-through tests against the circuit module's HADAMARD and PAULI_X constants.
+and element_unitary. Each call builds the rows one block of whole layers
+at a time (about _KERNEL_BLOCK elements; the whole table when one block
+covers it), over modes path*w + pol (w = 2 on a polarized space, else 1),
+one per footprint mode and ordered by element, so a layer is one slice; as
+each row stays in its element's modes, a layer updates at once. verify
+stays independent of the kernel through the statevec oracle, and the
+element conventions through tests against the circuit module's HADAMARD
+and PAULI_X constants.
 """
 
 from __future__ import annotations
@@ -103,7 +106,11 @@ class SpaceTooLargeError(NetlistError):
 # 1.4 s at 37 / 49 / 100 / 304 MB peak RSS for a 3 / 12 / 50 / 200 MB file:
 # x4 per two bits, so about 6 s / 1.2 GB for an 800 MB file at 22. At 20
 # bits one gate's `compile` stays within a third of a gigabyte; past 20,
-# ModeSpace refuses before any loop starts.
+# ModeSpace refuses before any loop starts. Reading a netlist back costs
+# about twice its file: CLI `stats` / `run` of a 44-gate circuit with a pol
+# qubit (1.1M elements at 15 path bits) took 1.1 / 1.2, 1.8 / 2.2 and
+# 2.9 / 3.5 s at 175, 316 and 578 MB peak RSS for a 67 / 135 / 263 MB file
+# at 14 / 15 / 16 path bits. That doubles per bit: about 9 GB at 20 bits.
 MAX_PATH_BITS = 20
 
 
@@ -362,6 +369,12 @@ def _footprint(table: ElementTable, space: ModeSpace) -> tuple[np.ndarray, np.nd
     return np.concatenate(rows), np.concatenate(modes)
 
 
+def _ordered_footprint(table: ElementTable, space: ModeSpace) -> tuple[np.ndarray, np.ndarray]:
+    """_footprint's (row, mode) pairs, by row then mode."""
+    rows, modes = _footprint(table, space)
+    return np.divmod(np.sort(rows * space.dim + modes, kind="stable"), space.dim)
+
+
 def _row_layers(offsets: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
 
@@ -507,9 +520,7 @@ class OpticalNetlist:
 
     def footprints(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(layer, row, mode) of every mode each element occupies, by row then mode."""
-        rows, modes = _footprint(self.table, self.space)
-        keys = np.sort(rows * self.space.dim + modes, kind="stable")
-        rows, modes = np.divmod(keys, self.space.dim)
+        rows, modes = _ordered_footprint(self.table, self.space)
         return _row_layers(self.table.offsets)[rows], rows, modes
 
     def subset(self, keep: np.ndarray) -> OpticalNetlist:
@@ -523,14 +534,37 @@ class OpticalNetlist:
         return _netlist(self.space, table, notes, self.output_relabel)
 
 
-def _kernel_rows(netlist: OpticalNetlist) -> tuple[np.ndarray, ...]:
+_KERNEL_BLOCK = 1 << 16  # element rows (about) whose gather rows are built at a time
+
+
+def _layer_blocks(table: ElementTable) -> Iterator[tuple[int, ElementTable]]:
+    """(first row, block) of each block of whole layers, in order: the layers
+    that start within one run of _KERNEL_BLOCK rows. A block's columns and
+    maps are views of the table's; only its offsets and its a, where its
+    crossings are renumbered from 0, are new. A lone block is the table."""
+    offsets = table.offsets
+    firsts = np.flatnonzero(np.diff(offsets[:-1] // _KERNEL_BLOCK, prepend=-1)).tolist()
+    if len(firsts) <= 1:
+        yield 0, table
+        return
+    perms = np.flatnonzero(table.kind == PERM)
+    for l0, l1 in zip(firsts, [*firsts[1:], len(offsets) - 1]):
+        lo, hi = offsets[[l0, l1]].tolist()
+        c0, c1 = np.searchsorted(perms, (lo, hi)).tolist()
+        kind = table.kind[lo:hi]
+        yield lo, ElementTable(kind, table.a[lo:hi] - c0 * (kind == PERM), table.b[lo:hi],
+                               table.angle[lo:hi], table.pol[lo:hi], offsets[l0:l1 + 1] - lo,
+                               table.maps[c0:c1])
+
+
+def _kernel_rows(table: ElementTable, space: ModeSpace) -> tuple[np.ndarray, ...]:
     """The gather rows (row, t, s0, c0, s1, c1) of every element, by row: one
     per footprint mode t, reading t and the partner mode p the element
     couples into it. A splitter mixes the two (c0 = cos, c1 = i sin), a
     shifter scales t, and a rotator, a crossing and a PBS on its V modes move
     p to t, the PBS with phase i."""
-    table, w = netlist.table, 2 if netlist.space.uses_pol else 1
-    _, row, t = netlist.footprints()
+    w = 2 if space.uses_pol else 1
+    row, t = _ordered_footprint(table, space)
     kind, angle = table.kind[row], table.angle[row]
     path, k = t // w, t % w
     splitter = kind == BS
@@ -550,15 +584,17 @@ def _kernel_rows(netlist: OpticalNetlist) -> tuple[np.ndarray, ...]:
 
 def _stream(x: np.ndarray, netlist: OpticalNetlist) -> np.ndarray:
     """Apply every layer, one slice of the gather rows each, then the output
-    relabeling, in place to a mode vector or the rows of a (dim, k) block."""
+    relabeling, in place to a mode vector or the rows of a (dim, k) block.
+    The gather rows are built one block of layers at a time (_layer_blocks)."""
     space = netlist.space
-    row, t, s0, c0, s1, c1 = _kernel_rows(netlist)
-    if x.ndim == 2:
-        c0, c1 = c0[:, None], c1[:, None]
-    bounds = np.searchsorted(row, netlist.table.offsets).tolist()
-    for lo, hi in zip(bounds, bounds[1:]):
-        if lo < hi:
-            x[t[lo:hi]] = c0[lo:hi] * x[s0[lo:hi]] + c1[lo:hi] * x[s1[lo:hi]]
+    for _, block in _layer_blocks(netlist.table):
+        row, t, s0, c0, s1, c1 = _kernel_rows(block, space)
+        if x.ndim == 2:
+            c0, c1 = c0[:, None], c1[:, None]
+        bounds = np.searchsorted(row, block.offsets).tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            if lo < hi:
+                x[t[lo:hi]] = c0[lo:hi] * x[s0[lo:hi]] + c1[lo:hi] * x[s1[lo:hi]]
     if netlist.output_relabel is not None:
         w = 2 if space.uses_pol else 1
         relabeled = np.repeat(netlist.output_relabel, w) * w + np.tile(np.arange(w), space.n_paths)
@@ -671,8 +707,10 @@ def netlist_to_json(netlist: OpticalNetlist) -> str:
 
 
 _WRITTEN_HEAD = re.compile(
-    r'\{\n  "version": 1,\n  "n_loc": (\d+),\n  "uses_pol": (true|false),\n  "layers": \[')
-_WRITTEN_META = ',\n  "meta": '
+    rb'\{\n  "version": 1,\n  "n_loc": (\d+),\n  "uses_pol": (true|false),\n  "layers": \[')
+_WRITTEN_META = b',\n  "meta": '
+_SCAN_CHUNK = 1 << 16  # text bytes scanned for newlines, or compared with the write-back, at a time
+_FLOAT_BLOCK = 1 << 16  # angle texts sorted at a time
 # The writer's layout, read back: an element's "{" sits at column 6 and a
 # layer's "[" at column 4. Each field of an element is the text that ends
 # its line (before a ","), the line found from the "{" line: the tag on the
@@ -703,13 +741,18 @@ def _layout_codes(u8: np.ndarray, ends: np.ndarray, keys: np.ndarray = _POL_KEYS
 def _layout_floats(u8: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """The floats whose texts end at ends, each the last word of the 24 bytes
     before (a float's repr has at most 24). A window is its text's exact
-    key, so after one sort of the windows each distinct text is parsed once."""
-    windows = sliding_window_view(u8, 24)[ends - 24]
-    order = np.lexsort(windows.view(np.uint64).T)
-    first = np.append(True, (np.diff(windows.view(np.uint64)[order], axis=0) != 0).any(axis=1))
-    first, index = first[:len(order)], np.empty(len(order), np.int64)  # no texts, no first one
-    index[order] = np.cumsum(first) - 1
-    return np.array([float(bytes(text).split()[-1]) for text in windows[order[first]]])[index]
+    key, so after one sort of a block of _FLOAT_BLOCK windows each distinct
+    text in the block is parsed once."""
+    floats = np.empty(len(ends))
+    for lo in range(0, len(ends), _FLOAT_BLOCK):
+        windows = sliding_window_view(u8, 24)[ends[lo:lo + _FLOAT_BLOCK] - 24].view(np.uint64)
+        order = np.lexsort(windows.T)
+        first = np.append(True, (np.diff(windows[order], axis=0) != 0).any(axis=1))
+        index = np.empty(len(order), np.int64)
+        index[order] = np.cumsum(first) - 1
+        values = [float(text.tobytes().split()[-1]) for text in windows[order[first]]]
+        floats[lo:lo + _FLOAT_BLOCK] = np.array(values)[index]
+    return floats
 
 
 _LAYOUT_READ = {"a": _layout_ints, "b": _layout_ints, "angle": _layout_floats, "pol": _layout_codes}
@@ -719,9 +762,14 @@ def _layout_table(u8: np.ndarray, lo: int, hi: int, n_paths: int) -> ElementTabl
     """The table of the layers text u8[lo:hi] of a text netlist_to_json
     wrote, each field read on the line its layout gives (_SLOT_LINES).
     Text in any other layout raises or reads as another table."""
-    # Each line's start and end, int32 while the text is under 2 GB.
-    starts = np.flatnonzero(u8[lo:hi] == 10).astype(np.int32 if hi < 1 << 31 else np.int64) + lo + 1
-    ends = np.concatenate((starts[1:] - 1, [hi]), dtype=starts.dtype)
+    # Each line's start and end, int32 while the text is under 2 GB, from
+    # a newline scan of one chunk at a time: no mask spans the text.
+    index = np.int32 if hi < 1 << 31 else np.int64
+    starts = np.concatenate([np.zeros(0, index)] + [
+        np.flatnonzero(u8[i:min(i + _SCAN_CHUNK, hi)] == 10).astype(index) + (i + 1)
+        for i in range(lo, hi, _SCAN_CHUNK)])
+    ends = np.concatenate((starts[1:], [hi]), dtype=index)
+    ends[:-1] -= 1
     elements = np.flatnonzero(u8[starts + 6] == ord("{"))
     opens = np.flatnonzero(u8[starts + 4] == ord("["))
     counts = np.diff(np.searchsorted(elements, np.append(opens, len(starts))))
@@ -740,7 +788,7 @@ def _layout_table(u8: np.ndarray, lo: int, hi: int, n_paths: int) -> ElementTabl
     return _table(kind, *columns.values(), counts, maps, n_paths)
 
 
-def _read_written(text: str) -> OpticalNetlist | None:
+def _read_written(data: bytes | str) -> OpticalNetlist | None:
     """The netlist of a text that netlist_to_json wrote, or None.
 
     A JSON document of a wide netlist is a dict, a list and boxed numbers
@@ -748,33 +796,45 @@ def _read_written(text: str) -> OpticalNetlist | None:
     objects that outlive a load pin the allocator arenas those filled, so a
     process that loads netlist after netlist grew, and its peak memory
     changed from run to run. This reads each field on the line the writer's
-    layout puts it on instead (_layout_table), frees the text's bytes,
-    and takes the result only if writing it gives back the text exactly,
-    compared a block at a time; any other text is left to the document
-    reader, errors and all."""
-    head, end = _WRITTEN_HEAD.match(text), text.rfind(_WRITTEN_META)
+    layout puts it on instead (_layout_table), in the ASCII bytes themselves
+    (a str is encoded first), and takes the result only if writing it gives
+    back those bytes exactly, compared a chunk at a time; any other text is
+    left to the document reader, errors and all."""
+    if not data.isascii():
+        return None
+    if isinstance(data, str):
+        data = data.encode("ascii")
+    head, end = _WRITTEN_HEAD.match(data), data.rfind(_WRITTEN_META)
     if head is None or end < 0:
         return None
     try:
-        space = ModeSpace(int(head[1]), head[2] == "true")
-        meta = json.loads(text[end + len(_WRITTEN_META):-2])
-        table = _layout_table(np.frombuffer(text.encode("ascii"), np.uint8), head.end(), end,
-                              space.n_paths)  # the text's bytes live only for the call
+        space = ModeSpace(int(head[1]), head[2] == b"true")
+        meta = json.loads(data[end + len(_WRITTEN_META):-2].decode("ascii"))
+        table = _layout_table(np.frombuffer(data, np.uint8), head.end(), end, space.n_paths)
         net = _netlist(space, table, meta["source_gates"], meta.get("output_relabel"))
     except (ArithmeticError, AttributeError, LookupError, RecursionError, TypeError, ValueError):
         return None  # not the writer's text: the document reader says why
     at = 0
-    for piece in _json_pieces(net):
-        if not text.startswith(piece, at):
-            return None
+    for piece in _json_pieces(net):  # a chunk at a time: no bytes copy of a whole block
+        for i in range(0, len(piece), _SCAN_CHUNK):
+            if not data.startswith(piece[i:i + _SCAN_CHUNK].encode("ascii"), at + i):
+                return None
         at += len(piece)
-    return net if at == len(text) else None
+    return net if at == len(data) else None
 
 
-def netlist_from_json(text: str) -> OpticalNetlist:
+def netlist_from_json(text: str | bytes) -> OpticalNetlist:
+    """The netlist of a JSON text, or of a file's bytes: read by their line
+    layout when netlist_to_json wrote them, else as a JSON document, the
+    bytes decoded as UTF-8 (UnicodeDecodeError if they are not) with their
+    newlines translated as a text-mode read does."""
     net = _read_written(text)
     if net is not None:
         return net
+    if isinstance(text, bytes):  # json.loads would guess UTF-16 or UTF-32 from the bytes
+        text = text.decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply

@@ -267,6 +267,18 @@ class TestMalformedNetlist:
             assert main(argv) == 2
             assert "invalid netlist JSON: maximum recursion depth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data, message", [
+        (b"{\x00}\x00", "invalid netlist JSON: Expecting property name"),
+        (b"\xef\xbb\xbf{}", "invalid netlist JSON: Unexpected UTF-8 BOM"),
+    ], ids=["utf16-without-bom", "utf8-bom"])
+    def test_bytes_are_read_as_utf8_only(self, tmp_path, capsys, data, message):
+        # json.loads of the bytes would read the first as UTF-16 "{}" and
+        # skip the BOM of the second; the file is UTF-8 text, so neither loads.
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        assert main(["stats", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     @staticmethod
     def two_layers():
         return {"version": 1, "n_loc": 1, "uses_pol": False,

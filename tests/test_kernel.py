@@ -1,12 +1,15 @@
 """Properties of the layer kernel behind propagate, netlist_unitary and
-element_unitary, of the element table and its element views, of pruning,
-and of the netlist JSON writer against json.dumps, on random layered
-netlists; and of element and layer validation, by the constructor and by
-the JSON loader, against a brute-force reference, on layers that may be
-invalid."""
+element_unitary (at every cut into layer blocks), of the element table and
+its element views, of pruning, and of the netlist JSON writer against
+json.dumps, on random layered netlists; of the loader's layout reader,
+across its chunk edges and from a file's bytes against its text; and of
+element and layer validation, by the constructor and by the JSON loader,
+against a brute-force reference, on layers that may be invalid."""
 
 import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +44,7 @@ from photonc.optics import _kernel_rows
 
 from conftest import random_circuit
 
+GOLDEN = Path(__file__).parent / "golden"
 ANGLES = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
 
 
@@ -240,14 +244,89 @@ def test_crossing_map_longer_than_the_text_is_left_to_the_document_reader(tmp_pa
     assert "crossing map must permute all path indices" in capsys.readouterr().err
 
 
-def test_layout_reader_reads_a_compiled_wide_circuit():
-    # A 12-qubit, 44-gate circuit with a pol qubit (about 100k elements)
-    # must take the layout reader, not fall back to the document reader.
+@pytest.fixture(scope="module")
+def wide_text():
+    """The JSON of a compiled 12-qubit, 44-gate circuit with a pol qubit."""
     circuit = random_circuit(np.random.default_rng(149), 12, 44)
-    text = netlist_to_json(compile_circuit(circuit, QubitAssignment.default(12, 6)))
-    read = optics._read_written(text)
-    assert read is not None
-    assert read == netlist_from_json(text + " ")
+    return netlist_to_json(compile_circuit(circuit, QubitAssignment.default(12, 6)))
+
+
+def test_layout_reader_reads_a_compiled_wide_circuit(wide_text):
+    # 86,537 elements must take the layout reader, not fall back to the
+    # document reader.
+    read = optics._read_written(wide_text)
+    assert read is not None and read.n_elements == 86537
+    assert read == netlist_from_json(wide_text + " ")
+
+
+def test_layout_load_peaks_under_three_times_the_file(wide_text, tmp_path):
+    # The file's bytes are the only copy of the text: the newline scan
+    # runs a chunk at a time and the write-back is compared block by block.
+    # A read_text() and its ASCII encoding peaked at about 3.46 times.
+    path = tmp_path / "wide.json"
+    path.write_text(wide_text, encoding="ascii")
+    tracemalloc.start()
+    try:
+        net = netlist_from_json(path.read_bytes())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert net.n_elements == 86537
+    assert peak < 3 * len(wide_text), peak / len(wide_text)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_layout_reader_reads_across_chunk_edges(monkeypatch, chunk):
+    # The newline scan and the angle sort each run a chunk at a time.
+    circuit = random_circuit(np.random.default_rng(7), 3, 12)
+    text = netlist_to_json(compile_circuit(circuit, QubitAssignment.default(3, 1)))
+    data = text.encode("ascii")
+    lo = optics._WRITTEN_HEAD.match(data).end()  # where the scan starts
+    newlines = np.flatnonzero(np.frombuffer(data, np.uint8)[lo:] == ord("\n")) % chunk
+    assert 0 in newlines and chunk - 1 in newlines  # one opens a chunk, one closes a chunk
+    monkeypatch.setattr(optics, "_SCAN_CHUNK", chunk)
+    monkeypatch.setattr(optics, "_FLOAT_BLOCK", chunk)
+    read = optics._read_written(data)
+    assert read is not None and read == netlist_from_json(text + " ")
+    # Each edit keeps the length and reads as the same table (a tab in a
+    # path's indent, a space for the last newline), so only the write-back,
+    # compared a chunk at a time, can refuse it.
+    at = data.index(b"\n          ") + 9
+    for edited in (data[:at] + b"\t" + data[at + 1:], data[:-1] + b" "):
+        assert optics._read_written(edited) is None
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.compile.json")), ids=lambda path: path.name)
+def test_golden_netlist_loads_the_same_from_bytes_as_from_str(path):
+    data = path.read_bytes()
+    assert optics._read_written(data) is not None
+    assert netlist_from_json(data) == netlist_from_json(path.read_text(encoding="utf-8"))
+
+
+def test_utf8_note_loads_the_same_from_bytes_as_from_str():
+    # The writer escapes a note's "é"; written raw, the text is valid UTF-8
+    # JSON that is not ASCII, so both reads take the document reader.
+    net = OpticalNetlist(ModeSpace(1), ((BeamSplitter(0, 1, 0.5),),), ("g0: é",))
+    text = netlist_to_json(net).replace("\\u00e9", "é")
+    assert "é" in text
+    assert netlist_from_json(text.encode("utf-8")) == netlist_from_json(text) == net
+
+
+def test_crlf_text_loads_as_a_text_mode_read(tmp_path):
+    # A file's bytes load as its text-mode read does, newlines translated,
+    # so a document error names the same line, column and character.
+    text = netlist_to_json(OpticalNetlist(ModeSpace(1), ((BeamSplitter(0, 1, 0.5),),)))
+    path = tmp_path / "crlf.json"
+    path.write_bytes(text.replace("\n", "\r\n").encode("ascii"))
+    assert netlist_from_json(path.read_bytes()) == netlist_from_json(text)
+    text = text.replace('"theta": 0.5', '"theta": .5')  # not JSON: the document reader's error
+    path.write_bytes(text.replace("\n", "\r\n").encode("ascii"))
+    errors = []
+    for source in (path.read_bytes(), path.read_text(encoding="utf-8")):
+        with pytest.raises(NetlistFormatError) as exc:
+            netlist_from_json(source)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1] and errors[0].endswith("line 13 column 18 (char 175)")
 
 
 SWAP_01 = Crossing((1, 0, 2, 3))
@@ -296,15 +375,41 @@ def test_json_matches_stdlib_encoder_past_a_16_bit_vocabulary():
 
 
 @settings(max_examples=100, deadline=None)
-@given(netlists())
-def test_kernel_rows_stay_in_footprint(net):
+@given(netlists(), st.sampled_from([1, 2, optics._KERNEL_BLOCK]))
+def test_kernel_rows_stay_in_footprint(net, block):
     # What makes the in-place layer update safe: an element reads and
     # writes only its own modes, and the modes of a layer are disjoint.
-    # Each row of the netlist's gather table names the element it belongs to.
+    # Each row of a block's gather table names the element it belongs to,
+    # and the blocks _stream applies hold each footprint mode exactly once.
     footprints = [set(reference_footprint(e, net.space)) for e in net.elements()]
-    rows, targets, sources0, _, sources1, _ = _kernel_rows(net)
-    for row, target, source0, source1 in zip(rows, targets, sources0, sources1):
-        assert {target, source0, source1} <= footprints[row]
+    applied = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optics, "_KERNEL_BLOCK", block)
+        for first, table in optics._layer_blocks(net.table):
+            rows, targets, sources0, _, sources1, _ = _kernel_rows(table, net.space)
+            for row, target, source0, source1 in zip(rows + first, targets, sources0, sources1):
+                assert {target, source0, source1} <= footprints[row]
+                applied.append((row, target))
+    assert sorted(applied) == [(row, mode) for row, footprint in enumerate(footprints)
+                               for mode in sorted(footprint)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(netlists(), st.integers(0, 2**32 - 1))
+def test_layer_blocks_stream_bit_equal_to_one_block(net, seed):
+    # A block of 1, 2 or 3 rows cuts the netlist at every layer it can;
+    # per-layer arithmetic and row order are the same, so every bit is.
+    rng = np.random.default_rng(seed)
+    dim = net.space.dim
+    vec = ModeAmplitudes(net.space, rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    (first, table), = optics._layer_blocks(net.table)
+    assert first == 0 and table is net.table
+    unitary, out = netlist_unitary(net).tobytes(), propagate(net, vec).amplitudes.tobytes()
+    for block in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optics, "_KERNEL_BLOCK", block)
+            assert netlist_unitary(net).tobytes() == unitary
+            assert propagate(net, vec).amplitudes.tobytes() == out
 
 
 @settings(max_examples=100, deadline=None)
@@ -326,6 +431,33 @@ def test_pruning_keeps_every_input_on_its_support(net, data):
     full = propagate(net, ModeAmplitudes(net.space, vec)).amplitudes
     pruned = propagate(prune_dead_paths(net, support), ModeAmplitudes(net.space, vec)).amplitudes
     assert np.max(np.abs(full - pruned)) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(netlists(), st.data())
+def test_pruning_matches_the_plain_element_loop(net, data):
+    # Pruning stops its loop once every mode is live; it must keep what the
+    # plain loop over every element keeps. The last layer's identity
+    # crossing occupies no mode, so it is dropped even once all are live.
+    space = net.space
+    layers = (*net.layers, (Crossing(tuple(range(space.n_paths))),))
+    net = OpticalNetlist(space, layers, tuple(map(str, range(len(layers)))), net.output_relabel)
+    every_mode = set(range(space.dim))
+    some_modes = st.sets(st.sampled_from(sorted(every_mode)), min_size=1)
+    support = data.draw(st.just(every_mode) | some_modes)
+    live, kept = set(support), []
+    for layer, note in zip(net.layers, net.source_gates):
+        alive = []
+        for element in layer:
+            footprint = reference_footprint(element, space)
+            if not live.isdisjoint(footprint):
+                alive.append(element)
+                live.update(footprint)
+        if alive:
+            kept.append((tuple(alive), note))
+    pruned = prune_dead_paths(net, support)
+    assert pruned.layers == tuple(layer for layer, _ in kept)
+    assert pruned.source_gates == tuple(note for _, note in kept)
 
 
 @settings(max_examples=100, deadline=None)
