@@ -18,7 +18,7 @@ _RAIL = "─"
 # Token 0 is a bare rail and 1 a tie; an element's glyph is token 2 + its
 # kind code, or 7 + its pol code for an H or V filtered phase shifter.
 _TOKENS = ("", _TIE, "BS", "φ", "R", "PBS", "✕", "φh", "φv")
-_WIDTHS = np.array([len(token) for token in _TOKENS])
+_WIDTHS = np.array([len(token) for token in _TOKENS], np.int8)
 # _CELLS[token, width]: the token on its rail, padded to a column width.
 _CELLS = np.array([[_RAIL + token + _RAIL * (width - len(token) + 1)
                     for width in range(_WIDTHS.max() + 1)] for token in _TOKENS], dtype=object)
@@ -38,7 +38,8 @@ def render_diagram(netlist: OpticalNetlist) -> str:
     layers, rows, modes = netlist.footprints()
     first = np.ones(len(rows), bool)
     first[1:] = rows[1:] != rows[:-1]
-    grid = np.zeros((netlist.n_layers, n_rows), np.intp)
+    # int8 tokens (and widths): a wide grid stays under NumPy's 4 MiB huge-page request.
+    grid = np.zeros((netlist.n_layers, n_rows), np.int8)
     grid[layers, modes] = np.where(first, glyphs[rows], 1)
     widths = _WIDTHS[grid].max(axis=1, initial=0)
     cells = _CELLS[grid, widths[:, None]].T.tolist()

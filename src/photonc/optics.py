@@ -45,9 +45,11 @@ checked to permute the paths) for one decoder, _decode, of element documents
 (the JSON loader's) or of element objects (the constructor's, by the
 attributes each to_doc reads), the loader's reader of the writer's own text
 (_read_written, on the ASCII bytes a file is read into, with no copy: a
-newline scan a chunk at a time, then each field read from the end of the
-line the writer's indent-2 layout puts it on; kept only if writing the
-netlist back gives the same bytes, compared a chunk at a time), the
+newline scan a chunk at a time into int32 line positions, then each field
+read from the 8-byte word that ends the line the writer's indent-2 layout
+puts it on, a kind or pol filter by a byte lookup and an angle by a hash
+of its text; kept only if writing the netlist back gives the same bytes,
+compared a chunk at a time, which is what catches a misread), the
 compiler's columns and subset; then one vectorized checker, _check, checks
 path ranges, distinct pairs, polarized-only kinds, finite angles and
 disjoint layers by one sort of (layer, mode) keys (and _netlist refuses a
@@ -57,7 +59,11 @@ kernel, stats, pruning, diagram and JSON writer read the columns. The JSON
 format lives here: each kind's keys are spelled in its to_doc and in
 _DOC_KEYS, which the decoder and the writer both read. The writer yields
 the text a block of elements at a time (_json_pieces): netlist_to_json
-joins the blocks, and CLI compile writes them as they come.
+joins the blocks, and CLI compile writes them as they come. Each element
+is at most five cells of one text vocabulary (_element_blocks): a head,
+one or two paths (a map for a crossing), a pair's middle literal, and a
+tail holding everything after the last path, one text per distinct kind,
+pol and angle; a phase shifter is three cells.
 
 A layer (disjoint 2x2 blocks, phases and path swaps, like a column of a Reck
 or Clements mesh) applies as one gather update x[t] = c0*x[s0] + c1*x[s1]
@@ -84,7 +90,7 @@ from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 
 class NetlistError(ValueError):
@@ -100,17 +106,18 @@ class SpaceTooLargeError(NetlistError):
 
 
 # `h` on a location qubit puts 1.5 elements on each path, so one gate's
-# netlist grows with 2^n_loc. For a lone `h 0` (2-vCPU host), compile_circuit
-# took 3 / 14 / 55 / 178 ms at 14 / 16 / 18 / 20 path bits, and CLI
-# `compile`, which writes its file a block at a time, 0.02 / 0.10 / 0.36 /
-# 1.4 s at 37 / 49 / 100 / 304 MB peak RSS for a 3 / 12 / 50 / 200 MB file:
-# x4 per two bits, so about 6 s / 1.2 GB for an 800 MB file at 22. At 20
-# bits one gate's `compile` stays within a third of a gigabyte; past 20,
-# ModeSpace refuses before any loop starts. Reading a netlist back costs
-# about twice its file: CLI `stats` / `run` of a 44-gate circuit with a pol
-# qubit (1.1M elements at 15 path bits) took 1.1 / 1.2, 1.8 / 2.2 and
-# 2.9 / 3.5 s at 175, 316 and 578 MB peak RSS for a 67 / 135 / 263 MB file
-# at 14 / 15 / 16 path bits. That doubles per bit: about 9 GB at 20 bits.
+# netlist grows with 2^n_loc. For a lone `h 0` (2-vCPU host, a fresh process
+# each, wall time with the interpreter's start), CLI `compile`, which writes
+# its file a block at a time, took 0.29 / 0.34 / 0.51 s at 38 / 49 / 85 MB
+# peak RSS for a 3 / 12 / 50 MB file at 14 / 16 / 18 path bits, and `stats`
+# of that file 0.28 / 0.38 / 0.72 s at 40 / 60 / 134 MB. The file grows x4
+# per two bits, to 200 MB at 20, where `compile` took 1.4 s at 304 MB when
+# last measured: one gate's `compile` stays within a third of a gigabyte;
+# past 20, ModeSpace refuses before any loop starts. Reading a netlist back
+# costs about twice its file: CLI `stats` / `run` of a 44-gate circuit with
+# a pol qubit took 0.55 / 0.71 and 2.2 / 2.6 s at 172 and 568 MB peak RSS
+# for a 67 / 263 MB file at 14 / 16 path bits. That doubles per bit: about
+# 9 GB at 20 bits.
 MAX_PATH_BITS = 20
 
 
@@ -632,6 +639,10 @@ _ELEMENT_TEMPLATES = tuple(  # by kind code, a document split at its $slots: lit
         f'"{key}": ' + (_PAIR if column == "ab" else f"${column}") for key, column in keys)
         + "\n      }")
     for kind, keys in zip(ELEMENT_KINDS, _DOC_KEYS))
+# By kind code, the template after its path slots (which come first) as a
+# %-format of the slots left: a tail, filled with an angle and a pol.
+_TAILS = tuple("".join(f"%({piece})s" if i % 2 else piece for i, piece in enumerate(pieces[2 * sum(
+    slot in ("a", "b", "map") for slot in pieces[1::2]):])) for pieces in _ELEMENT_TEMPLATES)
 _JSON_BLOCK = 1 << 13  # element rows turned into text at a time
 
 
@@ -641,44 +652,59 @@ def _layer_gap(prev: int, k: int) -> str:
     return ("\n    ]," if prev >= 0 else "") + "\n    []," * (k - prev - 1) + "\n    "
 
 
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(values, return_inverse=True) of a 1-D array, by one sort and
+    one search: no argsort, and not the hash table that NumPy 2's np.unique
+    of the values alone builds, which was slower on these keys and, the
+    first time it ran, raised a process's peak RSS by about a megabyte."""
+    ordered = np.sort(values)
+    distinct = np.append(ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]])
+    return distinct, np.searchsorted(distinct, values)
+
+
 def _element_blocks(table: ElementTable, starts: list[int]) -> Iterator[str]:
     """The elements' text, a block of rows a string. Row r of an index grid
-    over a vocabulary of texts is element r's lead (a separator, or the gap
-    and "[" before layer starts[i]) and its kind's template; each path that
-    an element or a crossing map names (by a mask, with no sort), angle
-    (by its bits: -0.0 is not 0.0), pol and map is written once, each map
-    from the path texts. The grid's cells are int32 unless the vocabulary
+    over a vocabulary of texts is element r's five cells: its head (a
+    separator, or the gap and "[" before layer starts[i], then its kind's
+    opening literal), its first path or map, for a splitter pair the middle
+    literal and second path, and its tail: every literal, pol and angle
+    after its last path, one text per distinct (kind, pol, angle bits; -0.0
+    is not 0.0). A row's pad cells are dropped before the join. Each path
+    an element or a map names (by a mask, with no sort) is written once,
+    each map from the path texts. Cells are int32 unless the vocabulary
     needs more."""
-    n, kind = len(table.kind), table.kind
+    n, kind, offsets = len(table.kind), table.kind.astype(np.int64), table.offsets
+    paired = (kind == BS) | (kind == PBS)
     used = np.zeros(table.maps.shape[1], bool)  # path p's text is vocabulary entry p, "" if unused
-    used[table.a[kind != PERM]] = used[table.b[np.isin(kind, (BS, PBS))]] = used[table.maps] = True
+    used[table.a[kind != PERM]] = used[table.b[paired]] = used[table.maps] = True
     path_texts = [repr(path) if use else "" for path, use in enumerate(used.tolist())]
-    angles, angle_index = np.unique(table.angle.view(np.int64), return_inverse=True)
+    angles, angle_index = _distinct(table.angle.view(np.int64))
+    # A tail per distinct (angle bits, kind, pol): pol in bits 0-1, kind in 2-4, the angle's index above.
+    keys, tail_index = _distinct(angle_index << 5 | kind << 2 | table.pol)
+    angle_texts = list(map(float.__repr__, angles.view(np.float64).tolist()))
+    tails = [_TAILS[key >> 2 & 7] % {"angle": angle_texts[key >> 5],
+                                      "pol": _json_string(_POL_FILTERS[key & 3])} for key in keys.tolist()]
     parts = [
-        ["", ",\n      "],  # pads short rows; separates two elements of a layer
-        [piece for pieces in _ELEMENT_TEMPLATES for piece in (pieces[::2] + ["", ""])[:4]],
+        [",\n      " + pieces[0] for pieces in _ELEMENT_TEMPLATES],  # a layer's later heads
+        [_layer_gap(prev, k) + "[\n      " + _ELEMENT_TEMPLATES[code][0]
+         for prev, k, code in zip([-1, *starts], starts, kind[offsets[starts]].tolist())],
         path_texts,
-        list(map(float.__repr__, angles.view(np.float64).tolist())),
-        list(map(_json_string, _POL_FILTERS)),
-        [_json_list(map(path_texts.__getitem__, path_map), 4) for path_map in table.maps.tolist()],
-        [_layer_gap(prev, k) + "[\n      " for prev, k in zip([-1, *starts], starts)],
+        [_json_list(row, 4) for row in np.array(path_texts, dtype=object)[table.maps].tolist()],
+        [pieces[2] for pieces in _ELEMENT_TEMPLATES],  # a pair's middle literal
+        tails,
     ]
-    _, literal, path, angle, pol, maps, lead, size = np.cumsum([0, *map(len, parts)]).tolist()
-    slots = {"a": (path, table.a), "b": (path, table.b), "map": (maps, table.a),
-             "angle": (angle, angle_index), "pol": (pol, table.pol.astype(np.int64))}
-    # A row: a lead, three literal/slot pairs, a last literal; int32 halves int64's bytes.
-    grid = np.zeros((n, 8), np.int32 if size < 1 << 31 else np.int64)
-    grid[:, 0] = 1  # the separator, but the lead of each layer's first element
-    grid[table.offsets[starts], 0] = lead + np.arange(len(starts))
-    grid[:, 1::2] = literal + np.arange(4) + 4 * kind[:, None]
-    for code, pieces in enumerate(_ELEMENT_TEMPLATES):
-        rows = np.flatnonzero(kind == code)
-        for col, slot in enumerate(pieces[1::2], 1):
-            base, values = slots[slot]
-            grid[rows, 2 * col] = base + values[rows]
+    head, lead, path, maps, middle, tail, size = np.cumsum([0, *map(len, parts)]).tolist()
+    grid = np.empty((n, 5), np.int32 if size < 1 << 31 else np.int64)  # int32 halves int64's bytes
+    grid[:, 0] = head + kind
+    grid[offsets[starts], 0] = lead + np.arange(len(starts))
+    grid[:, 1] = np.where(kind == PERM, maps, path) + table.a
+    grid[:, 2] = middle + kind
+    grid[:, 3] = path + table.b
+    grid[:, 4] = tail + tail_index
+    keep = paired[:, None] | np.array([True, True, False, False, True])  # cells 2, 3: pairs only
     texts = np.array([text for part in parts for text in part], dtype=object)
     for i in range(0, n, _JSON_BLOCK):
-        yield "".join(texts.take(grid[i:i + _JSON_BLOCK].reshape(-1)).tolist())
+        yield "".join(texts.take(grid[i:i + _JSON_BLOCK][keep[i:i + _JSON_BLOCK]]).tolist())
 
 
 def _json_pieces(netlist: OpticalNetlist) -> Iterator[str]:
@@ -701,8 +727,10 @@ def netlist_to_json(netlist: OpticalNetlist) -> str:
     The text is byte for byte json.dumps(doc, indent=2) + "\n" of {version,
     n_loc, uses_pol, layers: [[element.to_doc()]], meta: {source_gates,
     output_relabel?}} over the views of netlist.layers, the tests' reference,
-    with no pure-Python encoder, element object or format per element: the
-    elements are one index grid over a text vocabulary (_element_blocks)."""
+    with no pure-Python encoder, element object or format per element: each
+    element is three or five cells (a head, its paths or map, a pair's
+    middle literal, a tail of its pol and angle) of one index grid over a
+    text vocabulary (_element_blocks)."""
     return "".join(_json_pieces(netlist))
 
 
@@ -710,47 +738,66 @@ _WRITTEN_HEAD = re.compile(
     rb'\{\n  "version": 1,\n  "n_loc": (\d+),\n  "uses_pol": (true|false),\n  "layers": \[')
 _WRITTEN_META = b',\n  "meta": '
 _SCAN_CHUNK = 1 << 16  # text bytes scanned for newlines, or compared with the write-back, at a time
-_FLOAT_BLOCK = 1 << 16  # angle texts sorted at a time
+_FLOAT_BLOCK = 1 << 16  # angle texts keyed at a time
 # The writer's layout, read back: an element's "{" sits at column 6 and a
 # layer's "[" at column 4. Each field of an element is the text that ends
 # its line (before a ","), the line found from the "{" line: the tag on the
 # next one, each slot of its kind's template where the template puts it,
-# a map's entries on the lines after its slot's. A tag or a pol filter is
-# told by the 4 bytes before its ",", which end its quoted text.
+# a map's entries on the lines after its slot's. Every field is read from
+# the 8-byte little-endian word that ends where its text ends.
 _SLOT_LINES = tuple({slot: head.count("\n") for slot, head in zip(t[1::2], accumulate(t[::2]))}
                     for t in _ELEMENT_TEMPLATES)
-_TAG_KEYS = np.array([f'"{kind.tag}"'[-4:] for kind in ELEMENT_KINDS], "S4").view(">u4")
-_POL_KEYS = np.array([_json_string(pol)[-4:].rjust(4) for pol in _POL_FILTERS], "S4").view(">u4")
 
 
-def _layout_ints(u8: np.ndarray, ends: np.ndarray) -> np.ndarray:
+def _byte_codes(quoted: Iterable[str]) -> np.ndarray:
+    """A byte lookup: code i at the xor of the 3 bytes before quoted text
+    i's closing quote (its key), 0 at every other byte."""
+    keys = [np.bitwise_xor.reduce(list(text[-4:-1].rjust(3).encode())) for text in quoted]
+    return np.bincount(keys, range(len(keys)), 256).astype(np.int8)
+
+
+# The code of a tag or of a pol filter, by its key: the two sets of keys differ.
+_CODES = _byte_codes(f'"{kind.tag}"' for kind in ELEMENT_KINDS) + _byte_codes(map(_json_string, _POL_FILTERS))
+# Odd multipliers that hash the three words of a float's 24-byte window to
+# one, each word's high half folded into its low half first: a product
+# carries a change only upward, so a change in a top byte alone would
+# reach only the hash's top byte.
+_WINDOW_HASH = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9], np.uint64)
+
+
+def _layout_ints(words: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """The ints whose texts end at ends, or just before a "," there: the
-    digits of the 8 bytes before, which hold every int the writer writes."""
-    ends = ends - (u8[ends - 1] == ord(","))
-    # A byte below "0" wraps past 9; einsum makes no int64 copy of the digits.
-    digits = sliding_window_view(u8, 8)[ends - 8] - np.uint8(ord("0"))
-    return np.einsum("...i,i", digits * (digits < 10), 10 ** np.arange(7, -1, -1))
+    digits of the 8 bytes before (7 before a ","), which hold every int the
+    writer writes. Each is a word with the "," shifted out, every byte that
+    is no digit zeroed (a leading 0), then digits summed by 2, 4 and 8."""
+    x = words[ends - 8]
+    x = np.where(x >> 56 == ord(","), x << 8, x) ^ 0x3030303030303030  # a digit's byte: its value
+    x &= ~(((x + 0x7676767676767676) >> 7 & 0x0101010101010101) * 255)  # ASCII: no carry
+    for width, mask in ((8, 0x00FF00FF00FF00FF), (16, 0x0000FFFF0000FFFF), (32, 0xFFFFFFFF)):
+        x = (x * 10 ** (width // 8) + (x >> width)) & mask
+    return x.astype(np.int64)
 
 
-def _layout_codes(u8: np.ndarray, ends: np.ndarray, keys: np.ndarray = _POL_KEYS) -> np.ndarray:
-    """The index in keys (by default a pol filter's code) of the 4 bytes
+def _layout_codes(words: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The code (_CODES) of the tag or pol filter whose quoted text ends
     before the "," that ends each line."""
-    return np.argmax(sliding_window_view(u8, 4)[ends - 5].view(">u4") == keys, axis=1)
+    x = words[ends - 8]
+    return _CODES[(x >> 24 ^ x >> 32 ^ x >> 40) & 255]
 
 
-def _layout_floats(u8: np.ndarray, ends: np.ndarray) -> np.ndarray:
+def _layout_floats(words: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """The floats whose texts end at ends, each the last word of the 24 bytes
-    before (a float's repr has at most 24). A window is its text's exact
-    key, so after one sort of a block of _FLOAT_BLOCK windows each distinct
-    text in the block is parsed once."""
+    before (a float's repr has at most 24). The windows of a block of
+    _FLOAT_BLOCK are keyed by their hashes (_WINDOW_HASH), and each distinct
+    hash's text is parsed once: texts that share a hash read as one, which
+    only the write-back can catch."""
     floats = np.empty(len(ends))
     for lo in range(0, len(ends), _FLOAT_BLOCK):
-        windows = sliding_window_view(u8, 24)[ends[lo:lo + _FLOAT_BLOCK] - 24].view(np.uint64)
-        order = np.lexsort(windows.T)
-        first = np.append(True, (np.diff(windows[order], axis=0) != 0).any(axis=1))
-        index = np.empty(len(order), np.int64)
-        index[order] = np.cumsum(first) - 1
-        values = [float(text.tobytes().split()[-1]) for text in windows[order[first]]]
+        windows = as_strided(words, (len(words) - 16, 3), (1, 8))[ends[lo:lo + _FLOAT_BLOCK] - 24]
+        keys, index = _distinct((windows ^ windows >> 32) @ _WINDOW_HASH)
+        first = np.empty(len(keys), np.intp)
+        first[index] = np.arange(len(index))  # a window of each key
+        values = [float(text.tobytes().split()[-1]) for text in windows[first]]
         floats[lo:lo + _FLOAT_BLOCK] = np.array(values)[index]
     return floats
 
@@ -762,29 +809,31 @@ def _layout_table(u8: np.ndarray, lo: int, hi: int, n_paths: int) -> ElementTabl
     """The table of the layers text u8[lo:hi] of a text netlist_to_json
     wrote, each field read on the line its layout gives (_SLOT_LINES).
     Text in any other layout raises or reads as another table."""
-    # Each line's start and end, int32 while the text is under 2 GB, from
-    # a newline scan of one chunk at a time: no mask spans the text.
+    # Each line's start, int32 while the text is under 2 GB, from a newline
+    # scan of one chunk at a time: no mask spans the text. Once the element
+    # and layer opens are found, each line's end is written over its start.
     index = np.int32 if hi < 1 << 31 else np.int64
     starts = np.concatenate([np.zeros(0, index)] + [
         np.flatnonzero(u8[i:min(i + _SCAN_CHUNK, hi)] == 10).astype(index) + (i + 1)
         for i in range(lo, hi, _SCAN_CHUNK)])
-    ends = np.concatenate((starts[1:], [hi]), dtype=index)
-    ends[:-1] -= 1
-    elements = np.flatnonzero(u8[starts + 6] == ord("{"))
+    elements = np.flatnonzero(u8[starts + 6] == ord("{")).astype(index)
     opens = np.flatnonzero(u8[starts + 4] == ord("["))
     counts = np.diff(np.searchsorted(elements, np.append(opens, len(starts))))
-    kind = _layout_codes(u8, ends[elements + 1], _TAG_KEYS).astype(np.int8)
+    ends = starts
+    ends[:-1], ends[-1:] = starts[1:] - 1, hi
+    words = np.ndarray((len(u8) - 7,), "<u8", u8, 0, (1,))  # the unaligned word at each byte
+    kind = _layout_codes(words, ends[elements + 1])
     columns = {"a": np.zeros_like(kind, np.int64), "b": np.zeros_like(kind, np.int64),
                "angle": np.zeros_like(kind, float), "pol": np.full_like(kind, POL_CODE_BOTH)}
     for slot, read in _LAYOUT_READ.items():  # each column at once, over the kinds that have it
-        line = np.array([lines.get(slot, -1) for lines in _SLOT_LINES])[kind]
-        rows = np.flatnonzero(line >= 0)
-        columns[slot][rows] = read(u8, ends[elements[rows] + line[rows]])
+        line = np.array([lines.get(slot, -1) for lines in _SLOT_LINES], np.int8)[kind]
+        rows = np.flatnonzero(line >= 0).astype(index)
+        columns[slot][rows] = read(words, ends[elements[rows] + line[rows]])
     perms = elements[kind == PERM]
-    if len(perms) * n_paths > len(starts):  # more entries than lines
+    if len(perms) * n_paths > len(ends):  # more entries than lines
         raise IndexError("crossing maps overrun the text")
     # A map's entries fill the lines after its slot's.
-    maps = _layout_ints(u8, ends[perms[:, None] + np.arange(n_paths) + _SLOT_LINES[PERM]["map"] + 1])
+    maps = _layout_ints(words, ends[perms[:, None] + np.arange(n_paths) + _SLOT_LINES[PERM]["map"] + 1])
     return _table(kind, *columns.values(), counts, maps, n_paths)
 
 

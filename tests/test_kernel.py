@@ -2,7 +2,8 @@
 element_unitary (at every cut into layer blocks), of the element table and
 its element views, of pruning, and of the netlist JSON writer against
 json.dumps, on random layered netlists; of the loader's layout reader,
-across its chunk edges and from a file's bytes against its text; and of
+across its chunk edges, from a file's bytes against its text, and behind
+its write-back, which refuses a table the reader misread; and of
 element and layer validation, by the constructor and by the JSON loader,
 against a brute-force reference, on layers that may be invalid."""
 
@@ -259,10 +260,12 @@ def test_layout_reader_reads_a_compiled_wide_circuit(wide_text):
     assert read == netlist_from_json(wide_text + " ")
 
 
-def test_layout_load_peaks_under_three_times_the_file(wide_text, tmp_path):
+def test_layout_load_peaks_under_twice_the_file(wide_text, tmp_path):
     # The file's bytes are the only copy of the text: the newline scan
-    # runs a chunk at a time and the write-back is compared block by block.
-    # A read_text() and its ASCII encoding peaked at about 3.46 times.
+    # runs a chunk at a time, line ends overwrite line starts, the index
+    # columns are int32 and int8, and the write-back is compared block by
+    # block. This load peaks at about 1.94 times; a read_text() and its
+    # ASCII encoding peaked at about 3.46 times, int64 index columns at 2.47.
     path = tmp_path / "wide.json"
     path.write_text(wide_text, encoding="ascii")
     tracemalloc.start()
@@ -272,7 +275,7 @@ def test_layout_load_peaks_under_three_times_the_file(wide_text, tmp_path):
     finally:
         tracemalloc.stop()
     assert net.n_elements == 86537
-    assert peak < 3 * len(wide_text), peak / len(wide_text)
+    assert peak < 2 * len(wide_text), peak / len(wide_text)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64])
@@ -343,10 +346,34 @@ SWAP_01 = Crossing((1, 0, 2, 3))
                                         (), (PolarizingBeamSplitter(0, 3),), (), ())),
     OpticalNetlist(ModeSpace(2), ((SWAP_01,), (Crossing((3, 2, 1, 0)),), (SWAP_01,))),
     OpticalNetlist(ModeSpace(1), ((), ())),
+    OpticalNetlist(ModeSpace(3, True), (
+        (BeamSplitter(0, 1, 0.5), PhaseShifter(2, 0.5, POL_H), PhaseShifter(3, 0.5, POL_V),
+         PhaseShifter(4, 0.5)),
+        (PhaseShifter(0, 0.0), Rotator(1), PolarizingBeamSplitter(2, 3),
+         Crossing((0, 1, 2, 3, 5, 4, 6, 7)), PhaseShifter(6, -0.0)))),
 ], ids=["signed-zero-angles", "extreme-angles", "repeated-crossing-map",
-        "empty-layer-runs", "crossings-only", "only-empty-layers"])
+        "empty-layer-runs", "crossings-only", "only-empty-layers", "shared-tails"])
 def test_json_writer_edge_cases_match_stdlib_encoder(net):
     assert netlist_to_json(net) == stdlib_json(net)
+
+
+@pytest.mark.parametrize("name, misread", [
+    ("_CODES", optics._byte_codes(f'"{kind.tag}"' for kind in optics.ELEMENT_KINDS)),
+    ("_WINDOW_HASH", np.zeros(3, np.uint64)),
+], ids=["pols-read-as-H", "angles-share-one-hash"])
+def test_write_back_refuses_a_misread_table(monkeypatch, name, misread):
+    # A byte lookup that knows no pol filter, or a hash that gives every
+    # angle text one key, reads the writer's text as another valid table.
+    # Only the write-back tells, and the document reader loads the text.
+    net = OpticalNetlist(ModeSpace(2, True), ((PhaseShifter(0, 0.5, POL_V), PhaseShifter(1, 0.25)),
+                                              (BeamSplitter(0, 1, 1.0),)))
+    data = netlist_to_json(net).encode("ascii")
+    monkeypatch.setattr(optics, name, misread)
+    head, end = optics._WRITTEN_HEAD.match(data), data.rfind(optics._WRITTEN_META)
+    table = optics._layout_table(np.frombuffer(data, np.uint8), head.end(), end, net.space.n_paths)
+    assert not all(map(np.array_equal, table, net.table))
+    assert optics._read_written(data) is None
+    assert netlist_from_json(data) == net
 
 
 def test_json_matches_stdlib_encoder_across_row_blocks():
