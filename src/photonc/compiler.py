@@ -30,11 +30,12 @@ gate costs a few array operations, not an object per path. Adjacent rotator
 layers merge to their symmetric difference, trailing crossings can become an
 output-port relabeling (unless relabel_terminal_crossings is false), and the
 columns form one checked ElementTable (optics builds it and owns the JSON
-format), pruned for the entry modes of input_support when it is given;
-lower_gate and prepare_* return element views of the same columns. Each
-input is checked once, where it arrives: a circuit's gates by
-QuantumCircuit, one lower_gate call's gate by lower_gate, and an input
-support by prune_dead_paths.
+format), pruned layer by layer for the entry modes of input_support when it
+is given; lower_gate and prepare_* return element views of the same columns.
+Each input is checked once, where it arrives: a circuit's gates by
+QuantumCircuit, one lower_gate call's gate by lower_gate, an input support
+by prune_dead_paths, and a preparation's amplitudes and qubit by
+prepare_location_state (its qubit through path_delta).
 """
 
 from __future__ import annotations
@@ -448,32 +449,31 @@ def compile_circuit(
 def prune_dead_paths(netlist: OpticalNetlist, input_support: Iterable[int]) -> OpticalNetlist:
     """Drop elements that can never see amplitude from the given input modes.
 
-    Liveness is tracked as a set of possibly-nonzero modes, element by
-    element in netlist order over the table's footprints; a kept element
-    marks its whole footprint live, and emptied layers are dropped. Once
-    every mode is live, each later element is kept iff it occupies a mode.
-    Propagation through the pruned netlist matches the original for any
-    input supported on input_support.
+    Liveness is one mask of possibly-nonzero modes, updated layer by layer
+    over the table's footprints: a layer keeps each element whose footprint
+    meets a live mode, then marks those footprints live (layers are disjoint,
+    so a kept element cannot make a layer-mate look live), and emptied
+    layers are dropped. Once every mode is live, each later element is kept
+    iff it occupies a mode. Propagation through the pruned netlist matches
+    the original for any input supported on input_support.
     """
-    space = netlist.space
-    live = set(input_support)
-    if not live:
+    support = set(input_support)
+    if not support:
         raise CompileError("pruning needs a nonempty input support")
-    for mode in live:
-        space._check_mode(mode)
-    _, rows, modes = netlist.footprints()
-    bounds = np.searchsorted(rows, np.arange(netlist.n_elements + 1)).tolist()
-    modes = modes.tolist()
+    for mode in support:
+        netlist.space._check_mode(mode)
+    live = np.zeros(netlist.space.dim, bool)
+    live[list(support)] = True
+    layers, rows, modes = netlist.footprints()
+    bounds = np.searchsorted(layers, np.arange(netlist.n_layers + 1)).tolist()
     keep = np.zeros(netlist.n_elements, bool)
-    for row, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        # Layers are disjoint: a kept element cannot make a layer-mate look live.
-        touched = modes[lo:hi]
-        if not live.isdisjoint(touched):
-            keep[row] = True
-            live.update(touched)
-            if len(live) == space.dim:
-                keep[row + 1:] = np.diff(bounds[row + 1:]) > 0
-                break
+    for lo, hi in zip(bounds, bounds[1:]):
+        if live.all():
+            keep[rows[lo:]] = True
+            break
+        row, mode = rows[lo:hi], modes[lo:hi]
+        keep[row[live[mode]]] = True
+        live[mode[keep[row]]] = True
     return netlist.subset(keep)
 
 
@@ -506,8 +506,6 @@ def prepare_location_state(
     (a, b) across the path pair of one location qubit."""
     if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-10:  # NaN fails too
         raise CompileError("preparation amplitudes must be normalized")
-    if assignment.is_pol(qubit):
-        raise CompileError("preparation targets a location qubit")
     dec = decompose_u2(_column_completion(complex(a), complex(b)))
     pair = (np.zeros(1, np.int64), np.array([assignment.path_delta(qubit)]))
     return _element_layers(_u2_assembly(dec, *pair), assignment.mode_space())

@@ -42,8 +42,9 @@ so a library-built int angle 2 is stored and written as 2.0, as loaded.
 
 One builder, _table, makes every table (offsets, crossing numbers, maps
 checked to permute the paths) for one decoder, _decode, of element documents
-(the JSON loader's) or of element objects (the constructor's, by the
-attributes each to_doc reads), the loader's reader of the writer's own text
+only (the JSON loader's, and each element's to_doc() for the constructor, so
+a field of the wrong type or shape raises one NetlistError that names it,
+the same from either), the loader's reader of the writer's own text
 (_read_written, on the ASCII bytes a file is read into, with no copy: a
 newline scan a chunk at a time into int32 line positions, then each field
 read from the 8-byte word that ends the line the writer's indent-2 layout
@@ -86,7 +87,7 @@ import re
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii as _json_string
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -136,11 +137,11 @@ class ModeSpace:
 
     def __post_init__(self):
         if type(self.n_loc) is not int:  # a bool or float is refused, never truncated
-            raise NetlistError(f"location qubit count {self.n_loc!r} is not an int")
+            raise NetlistError(f"n_loc {self.n_loc!r} is not an int")
         if type(self.uses_pol) is not bool:
             raise NetlistError(f"uses_pol {self.uses_pol!r} is not a bool")
         if self.n_loc < 0:
-            raise NetlistError("negative location qubit count")
+            raise NetlistError(f"n_loc {self.n_loc} is negative")
         if self.n_loc > MAX_PATH_BITS:
             # 2^n_loc in decimal only while short: Python writes no int of 4300+ digits.
             paths = f"2^{self.n_loc}" + (f" = {1 << self.n_loc}" if self.n_loc < 64 else "")
@@ -279,11 +280,9 @@ class ElementTable(NamedTuple):
     maps: np.ndarray
 
 
-def _int_column(values: list, from_json: bool, what: str = "path") -> np.ndarray:
+def _int_column(values: list, what: str = "path") -> np.ndarray:
     if set(map(type, values)) - {int}:  # a bool or float is refused, never truncated
         bad = next(v for v in values if type(v) is not int)
-        if from_json:
-            raise NetlistFormatError(f"{what} must be a JSON int, got {bad!r}")
         raise NetlistError(f"{what} {bad!r} is not an int")
     try:
         return np.array(values, dtype=np.int64)
@@ -291,14 +290,14 @@ def _int_column(values: list, from_json: bool, what: str = "path") -> np.ndarray
         raise NetlistError(f"{what} out of range") from None
 
 
-def _angle_column(values: list, from_json: bool) -> np.ndarray:
+def _angle_column(values: list) -> np.ndarray:
     for value in values if set(map(type, values)) - {float, int} else ():
         if type(value) is bool or not math.isfinite(value):  # JSON would write a bool as true
             raise NetlistError(f"angle must be a finite number, got {value!r}")
     return np.array(values, dtype=np.float64)
 
 
-def _pol_column(values: list, from_json: bool) -> np.ndarray:
+def _pol_column(values: list) -> np.ndarray:
     codes = [_POL_CODE.get(v) if isinstance(v, str) else None for v in values]
     if None in codes:
         raise NetlistError(f"bad pol filter {values[codes.index(None)]!r}")
@@ -329,34 +328,36 @@ def _table(kind: np.ndarray, a: np.ndarray, b: np.ndarray, angle: np.ndarray, po
     return ElementTable(kind, a, b, angle, pol, offsets, maps)
 
 
-def _decode(layers: list, n_paths: int, from_json: bool) -> ElementTable:
-    """The table of layers of element documents (to_doc() form) when
-    from_json, else of element objects, read by their attributes as
-    _FIELD_COLUMNS maps them; a field of the wrong type raises
-    NetlistFormatError when from_json, else NetlistError."""
+def _decode(layers: list, n_paths: int) -> ElementTable:
+    """The table of layers of element documents (the to_doc() form, as JSON
+    loads it); each field of the wrong type or shape raises one NetlistError
+    that names it."""
     items = list(chain.from_iterable(layers))
-    tag = itemgetter("type") if from_json else attrgetter("tag")
-    codes = list(map(_TAG_CODE.get, map(tag, items)))
+    if bad := [item for item in items if type(item) is not dict]:
+        raise NetlistError(f"element {bad[0]!r} is not a JSON object")
+    codes = list(map(_TAG_CODE.get, map(itemgetter("type"), items)))
     if None in codes:
-        raise NetlistFormatError(f"unknown element type {items[codes.index(None)].get('type')!r}")
+        raise NetlistError(f"unknown element type {items[codes.index(None)]['type']!r}")
     kind, n = np.array(codes, dtype=np.int8), len(items)
     columns = {"a": np.zeros(n, np.int64), "b": np.zeros(n, np.int64), "angle": np.zeros(n),
                "pol": np.full(n, POL_CODE_BOTH, np.int8)}
-    for code, (keys, cls) in enumerate(zip(_DOC_KEYS, ELEMENT_KINDS)):  # PERM, the last, sets maps
+    for code, keys in enumerate(_DOC_KEYS):  # PERM, the last, sets maps
         rows = np.flatnonzero(kind == code)
         group = list(map(items.__getitem__, rows.tolist()))
-        for key, column in keys if from_json else zip(cls.__match_args__, _FIELD_COLUMNS[code]):
-            values = list(map((itemgetter if from_json else attrgetter)(key), group))
+        for key, column in keys:
+            values = list(map(itemgetter(key), group))
+            if column in ("ab", "map") and (bad := [v for v in values if type(v) is not list]):
+                raise NetlistError(f"{key} {bad[0]!r} is not a list")
             if column == "map":
-                maps = [_int_column(list(m), from_json, "crossing map entry") for m in values]
+                maps = [_int_column(m, "crossing map entry") for m in values]
             elif column != "ab":
-                columns[column][rows] = _PARSE[column](values, from_json)
+                columns[column][rows] = _PARSE[column](values)
             elif set(map(len, values)) - {2}:
                 bad = next(p for p in values if len(p) != 2)
-                raise NetlistFormatError(f"paths must list exactly two paths, got {bad!r}")
+                raise NetlistError(f"paths must list exactly two paths, got {bad!r}")
             else:
-                columns["a"][rows] = _int_column(list(map(itemgetter(0), values)), from_json)
-                columns["b"][rows] = _int_column(list(map(itemgetter(1), values)), from_json)
+                columns["a"][rows] = _int_column(list(map(itemgetter(0), values)))
+                columns["b"][rows] = _int_column(list(map(itemgetter(1), values)))
     return _table(kind, *columns.values(), list(map(len, layers)), maps, n_paths)
 
 
@@ -422,7 +423,7 @@ def _netlist(space: ModeSpace, table: ElementTable, source_gates: Sequence[str] 
     _check(space, table)
     if output_relabel is not None:
         output_relabel = tuple(output_relabel)
-        relabel = _int_column(list(output_relabel), False, "output relabeling entry")
+        relabel = _int_column(list(output_relabel), "output relabeling entry")
         _permutations([relabel], space.n_paths, "output relabeling")
     for array in table:
         array.flags.writeable = False
@@ -492,7 +493,8 @@ class OpticalNetlist:
         for element in chain.from_iterable(layers):
             if not isinstance(element, ELEMENT_KINDS):
                 raise NetlistError(f"unknown element {element!r}")
-        _netlist(space, _decode(layers, space.n_paths, False), source_gates, output_relabel, self)
+        docs = [[element.to_doc() for element in layer] for layer in layers]
+        _netlist(space, _decode(docs, space.n_paths), source_gates, output_relabel, self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OpticalNetlist):
@@ -892,10 +894,6 @@ def netlist_from_json(text: str | bytes) -> OpticalNetlist:
         version, n_loc, uses_pol = doc["version"], doc["n_loc"], doc["uses_pol"]
         if type(version) is not int or version != 1:
             raise NetlistFormatError(f"unsupported netlist version {version!r}")
-        if type(n_loc) is not int or n_loc < 0:
-            raise NetlistFormatError(f"n_loc must be a non-negative integer, got {n_loc!r}")
-        if type(uses_pol) is not bool:
-            raise NetlistFormatError(f"uses_pol must be true or false, got {uses_pol!r}")
         space = ModeSpace(n_loc, uses_pol)
         layers, meta = doc["layers"], doc.get("meta", {})
         if type(layers) is not list or set(map(type, layers)) - {list}:
@@ -905,7 +903,7 @@ def netlist_from_json(text: str | bytes) -> OpticalNetlist:
         notes = meta.get("source_gates", [])
         if type(notes) is not list:
             raise NetlistFormatError("source_gates must be a JSON list")
-        table = _decode(layers, space.n_paths, True)
+        table = _decode(layers, space.n_paths)
         return _netlist(space, table, notes, meta.get("output_relabel"))
     except (NetlistFormatError, SpaceTooLargeError):
         raise

@@ -194,13 +194,11 @@ def demo_teleport(alpha: complex, beta: complex, prune: bool = True) -> Scenario
     """Prepare (alpha, beta) on the input path pair, run the teleport
     netlist, and read out every heralded branch of the output qubit."""
     alpha, beta = complex(alpha), complex(beta)
-    if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-10:  # NaN fails too
-        raise ValueError("teleport input amplitudes must be normalized")
     circuit = teleport_circuit()
     assignment = QubitAssignment.for_circuit(circuit)
+    prep = prepare_location_state(alpha, beta, 0, assignment)  # refuses unnormalized amplitudes
     netlist = compile_circuit(circuit, assignment)
     space = netlist.space
-    prep = prepare_location_state(alpha, beta, 0, assignment)
     combined = OpticalNetlist(space, [*prep, *netlist.layers],
                               ("input preparation",) * len(prep) + netlist.source_gates,
                               netlist.output_relabel)

@@ -107,6 +107,7 @@ class TestParsing:
             ("qubits 2 3\n", 1, "qubits takes one argument"),
             ("qubits 2\npol 0 1\n", 2, "pol takes one argument"),
             ("qubits 2\nphase 0 inf\n", 2, "malformed angle 'inf'"),
+            ("qubits 2\nphase 0 pi/0\n", 2, "malformed angle 'pi/0'"),
             ("qubits 2\nqubits 2\n", 2, "duplicate qubits"),
             ("qubits 0\n", 1, "at least 1"),
             ("qubits x\n", 1, "bad qubit count"),
@@ -179,8 +180,9 @@ class TestGateValidation:
         lambda: Gate(GateKind.PHASE, (0,), ("1.5",)), lambda: Gate(GateKind.PHASE, (0,), (True,)),
         lambda: QuantumCircuit(2.0), lambda: QuantumCircuit(True),
         lambda: QuantumCircuit(2, (), 1.5), lambda: QuantumCircuit(2, (), True),
+        lambda: u2_from_params(math.inf, 0, 0, 0),
     ], ids=["float-qubit", "bool-qubit", "str-angle", "bool-angle", "float-count", "bool-count",
-            "float-pol", "bool-pol"])
+            "float-pol", "bool-pol", "inf-u2-angle"])
     def test_input_is_refused_never_coerced(self, build):
         # Gate(GateKind.H, (1.9,)) used to become h 1, and "1.5" was parsed.
         with pytest.raises(CircuitError):

@@ -73,6 +73,13 @@ class TestCompile:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["compile", str(tmp_path / "nope.qc")]) == 2
 
+    @pytest.mark.parametrize("source", ["missing.json", "."], ids=["missing", "directory"])
+    def test_unreadable_netlist_is_input_error(self, tmp_path, capsys, source):
+        path = str(tmp_path / source)
+        assert main(["stats", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: cannot read {path}: ")
+
     @pytest.mark.parametrize("target", ["missing/net.json", "."])
     def test_unwritable_output_is_input_error(self, teleport_qc, tmp_path, capsys, target):
         out = str(tmp_path / target)
@@ -111,8 +118,9 @@ class TestCompile:
         assert captured.out == ""
         assert "2^39 = 549755813888 paths" in captured.err
 
-    def test_custom_assignment(self, teleport_qc, capsys):
-        assert main(["compile", teleport_qc, "--assignment", "loc=2,0;pol=1"]) == 0
+    @pytest.mark.parametrize("spec", ["loc=2,0;pol=1", "loc=0,2;;pol=1", "loc=0,2;pol=1;"])
+    def test_custom_assignment(self, teleport_qc, capsys, spec):
+        assert main(["compile", teleport_qc, "--assignment", spec]) == 0
         json.loads(capsys.readouterr().out)
 
     @pytest.mark.parametrize("spec, message", [
@@ -209,7 +217,8 @@ class TestVerify:
         bad = tmp_path / "fractional_path.json"
         bad.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["verify", teleport_qc, str(bad)]) == 2
-        assert "path must be a JSON int" in capsys.readouterr().err
+        message = f"invalid netlist document: path {shifter['path']!r} is not an int"
+        assert message in capsys.readouterr().err
 
     def test_oversized_circuit_is_input_error(self, teleport_netlist, tmp_path, capsys):
         big = tmp_path / "big.qc"
@@ -293,8 +302,12 @@ class TestMalformedNetlist:
         (("meta",), [], "meta must be a JSON object"),
         (("layers", 1, 0, "pol"), None, "invalid netlist document: missing key 'pol'"),
         (("layers", 0, 0, "paths", 1), 2**70, "invalid netlist document: path out of range"),
+        (("layers", 1, 0), 5, "invalid netlist document: element 5 is not a JSON object"),
+        (("layers", 0, 0, "paths"), 5, "invalid netlist document: paths 5 is not a list"),
+        (("layers", 1, 0), {"type": "perm", "map": 5},
+         "invalid netlist document: map 5 is not a list"),
     ], ids=["source-gates-str", "layers-object", "layer-object", "meta-list",
-            "missing-pol", "int64-overflow"])
+            "missing-pol", "int64-overflow", "element-int", "paths-int", "map-int"])
     def test_malformed_fields_are_named(self, tmp_path, capsys, path, value, message):
         doc = self.two_layers()
         holder = reduce(getitem, path[:-1], doc)

@@ -460,7 +460,7 @@ def test_pruning_keeps_every_input_on_its_support(net, data):
     assert np.max(np.abs(full - pruned)) < 1e-12
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(netlists(), st.data())
 def test_pruning_matches_the_plain_element_loop(net, data):
     # Pruning stops its loop once every mode is live; it must keep what the

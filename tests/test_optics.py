@@ -122,7 +122,7 @@ class TestModeSpace:
             ModeSpace(1).mode_label(mode)
 
     def test_negative_count_refused(self):
-        with pytest.raises(NetlistError, match="negative location qubit count"):
+        with pytest.raises(NetlistError, match="^n_loc -1 is negative$"):
             ModeSpace(-1)
 
     def test_size_cap(self):
@@ -287,6 +287,27 @@ def test_bad_crossing_map_among_good_ones(bad_map, first):
     with pytest.raises(NetlistFormatError) as loaded:
         netlist_from_json(json.dumps(doc))
     assert str(loaded.value) == f"invalid netlist document: {built.value}"
+
+
+@pytest.mark.parametrize("element, message", [
+    (PhaseShifter(1.5, 0.5), "path 1.5 is not an int"),
+    (BeamSplitter(0, 1, True), "angle must be a finite number, got True"),
+    (PhaseShifter(0, math.nan), "angle must be a finite number, got nan"),
+    (PhaseShifter(0, 0.5, "X"), "bad pol filter 'X'"),
+    (Crossing((1.0, 0)), "crossing map entry 1.0 is not an int"),
+], ids=["float-path", "bool-angle", "nan-angle", "bad-pol", "float-map-entry"])
+def test_constructor_and_loader_name_a_bad_field_alike(element, message):
+    # The constructor decodes each element's document, the one decoder the
+    # loader uses, so the two say the same; the loader adds its prefix.
+    space = ModeSpace(1, uses_pol=True)
+    with pytest.raises(NetlistError) as built:
+        OpticalNetlist(space, [[element]])
+    assert type(built.value) is NetlistError
+    assert str(built.value) == message
+    doc = {"version": 1, "n_loc": 1, "uses_pol": True, "layers": [[element.to_doc()]]}
+    with pytest.raises(NetlistFormatError) as loaded:
+        netlist_from_json(json.dumps(doc))
+    assert str(loaded.value) == f"invalid netlist document: {message}"
 
 
 def test_identity_crossing_shares_a_layer_with_a_real_one():

@@ -49,6 +49,15 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector(2, np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: StateVector(-1, [1]), "negative qubit count"),
+        (lambda: run_circuit_dense(parse_circuit("qubits 2\nh 0\n"), StateVector.basis(1, 0)),
+         "state and circuit qubit counts differ"),
+    ], ids=["negative-count", "dense-width"])
+    def test_rejects_mismatched_widths(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
     def test_probabilities(self):
         st = StateVector(1, np.array([0.6, 0.8j]))
         assert np.allclose(st.probabilities(), [0.36, 0.64])
