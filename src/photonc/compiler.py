@@ -25,17 +25,21 @@ borrowed location qubit, exchanged with polarization before and after.
 Every lowering above is exact (equal to the embedded gate unitary, global
 phase included), so a compiled netlist matches its circuit to float
 precision. Each stage is emitted as column layers (Column: one element kind
-on a masked path array, like one column of a Reck or Clements mesh), so a
-gate costs a few array operations, not an object per path. Adjacent rotator
-layers merge to their symmetric difference, trailing crossings can become an
-output-port relabeling (unless relabel_terminal_crossings is false), and the
-columns form one checked ElementTable (optics builds it and owns the JSON
-format), pruned layer by layer for the entry modes of input_support when it
-is given; lower_gate and prepare_* return element views of the same columns.
-Each input is checked once, where it arrives: a circuit's gates by
-QuantumCircuit, one lower_gate call's gate by lower_gate, an input support
-by prune_dead_paths, and a preparation's amplitudes and qubit by
-prepare_location_state (its qubit through path_delta).
+on a masked path array, like one column of a Reck or Clements mesh). Those
+path arrays depend only on a gate's shape, the ints of its control mask and
+target bit: each shape's are built once per compile_circuit or lower_gate
+call and shared, read-only, by every gate of that shape, so a gate itself
+adds only its angles (decompose_u2 works on Python scalars). Adjacent
+rotator layers merge to their symmetric difference, trailing crossings can
+become an output-port relabeling (unless relabel_terminal_crossings is
+false), and the columns form one checked ElementTable (optics builds it and
+owns the JSON format), pruned layer by layer for the entry modes of
+input_support when it is given; lower_gate and prepare_* return element
+views of the same columns. Each input is checked once, where it arrives: a
+circuit's gates by QuantumCircuit, one lower_gate call's gate by
+lower_gate, an input support by prune_dead_paths, and a preparation's
+amplitudes and qubit by prepare_location_state (its qubit through
+path_delta).
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -180,9 +183,12 @@ def decompose_u2(u: np.ndarray) -> U2Decomposition:
     m = np.asarray(u, dtype=complex)
     if m.shape != (2, 2):
         raise CompileError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if not np.max(np.abs(m @ m.conj().T - np.eye(2))) <= 1e-10:  # NaN fails too
+    rows = m.tolist()  # Python scalars: a 2x2 is cheaper by hand than by NumPy calls
+    gram = [[x0 * y0.conjugate() + x1 * y1.conjugate() for y0, y1 in rows] for x0, x1 in rows]
+    # Each entry of m m^H - I within the bound; NaN fails too.
+    if not all(abs(gram[i][j] - (i == j)) <= 1e-10 for i in (0, 1) for j in (0, 1)):
         raise CompileError("matrix is not unitary")
-    a00, a01, a10, a11 = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
+    (a00, a01), (a10, a11) = rows
     cos_part = (abs(a00) + abs(a11)) / 2.0
     sin_part = (abs(a01) + abs(a10)) / 2.0
     # Below the bound the small pair is dropped (theta 0 or pi/2), phases and all.
@@ -221,16 +227,26 @@ class Column(NamedTuple):
     path_map: np.ndarray | None = None
 
 
+def _repeated(values: list, counts: np.ndarray, dtype) -> np.ndarray:
+    """Each layer's value on its counts rows: the scalars by one repeat, then
+    each array value written over its own layer's rows."""
+    arrays = {i: value for i, value in enumerate(values) if isinstance(value, np.ndarray)}
+    scalars = [0 if i in arrays else value for i, value in enumerate(values)]
+    column = np.repeat(np.array(scalars, dtype), counts)
+    starts = (np.cumsum(counts) - counts).tolist()
+    for i, value in arrays.items():
+        column[starts[i] : starts[i] + len(value)] = value
+    return column
+
+
 def _column_table(layers: Sequence[Column], n_paths: int) -> ElementTable:
     """The element table of column layers in order."""
     counts = np.array([len(layer.a) for layer in layers], dtype=np.int64)
     kind = np.repeat(np.array([layer.kind for layer in layers], np.int8), counts)
     pol = np.repeat(np.array([layer.pol for layer in layers], np.int8), counts)
     a = np.concatenate([np.zeros(0, np.int64), *(layer.a for layer in layers)])
-    b, angle = np.zeros(len(a), np.int64), np.zeros(len(a))
-    bounds = [0, *np.cumsum(counts).tolist()]
-    for layer, lo, hi in zip(layers, bounds, bounds[1:]):
-        b[lo:hi], angle[lo:hi] = layer.b, layer.angle
+    b = _repeated([layer.b for layer in layers], counts, np.int64)
+    angle = _repeated([layer.angle for layer in layers], counts, np.float64)
     maps = [layer.path_map for layer in layers if layer.kind == PERM]
     return _table(kind, a, b, angle, pol, counts, maps, n_paths)
 
@@ -240,124 +256,157 @@ def _element_layers(layers: Sequence[Column], space: ModeSpace) -> list[list[Opt
     return [list(layer) for layer in _netlist(space, _column_table(layers, space.n_paths)).layers]
 
 
-def _u2_assembly(dec: U2Decomposition, p0: np.ndarray, p1: np.ndarray) -> list[Column]:
-    """Phase-in, splitter, phase-out layers realizing dec on each (p0, p1)
-    path pair; the pairs must be disjoint, and each angle of dec is a scalar
-    or one per pair."""
-    paths = np.column_stack((p0, p1)).ravel()
-
-    def shifters(phi_a, phi_b) -> Column:
-        angle = np.empty(len(paths))
-        angle[0::2], angle[1::2] = phi_a, phi_b
-        keep = np.abs(angle) >= _ZERO_ANGLE
-        return Column(PS, paths[keep], angle=angle[keep])
-
-    theta = np.full(len(p0), dec.theta)
-    keep = np.abs(theta) >= _ZERO_ANGLE
-    layers = (shifters(dec.phi_in_a, dec.phi_in_b), Column(BS, p0[keep], p1[keep], theta[keep]),
-              shifters(dec.phi_out_a, dec.phi_out_b))
-    return [layer for layer in layers if len(layer.a)]
+def _pair_arrays(p0: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p0, p1 and the two interleaved (p0[0], p1[0], p0[1], ...)."""
+    return p0, p1, np.column_stack((p0, p1)).ravel()
 
 
-def _controlled(
-    assignment: QubitAssignment, controls: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every path, and whether it has all the location control bits 1 (the
-    polarization qubit has no path bit; its callers condition on it)."""
-    # Distinct operands, distinct bits.
-    mask = sum(assignment.path_delta(q) for q in controls if not assignment.is_pol(q))
-    paths = np.arange(1 << assignment.n_loc, dtype=np.int64)
-    return paths, paths & mask == mask
-
-
-def _control_paths(assignment: QubitAssignment, controls: Sequence[int]) -> np.ndarray:
-    paths, on = _controlled(assignment, controls)
-    return paths[on]
-
-
-def _bit_pairs(
-    assignment: QubitAssignment, target: int, controls: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    # (target bit 0, target bit 1) on every control-satisfying path pair.
-    delta = assignment.path_delta(target)
-    paths, on = _controlled(assignment, controls)
-    p0 = paths[on & (paths & delta == 0)]
-    return p0, p0 | delta
-
-
-def _pbs_stage(
-    assignment: QubitAssignment, target: int, controls: Sequence[int]
+def _u2_assembly(
+    dec: U2Decomposition, p0: np.ndarray, p1: np.ndarray, pairs: np.ndarray
 ) -> list[Column]:
-    # V-conditioned path-bit flip: a PBS reflects V with phase i, so a
-    # -pi/2 V-filtered shifter on each touched path restores an exact CNOT.
-    p0, p1 = _bit_pairs(assignment, target, controls)
-    fixups = Column(PS, np.column_stack((p0, p1)).ravel(), angle=-math.pi / 2, pol=_V)
-    return [Column(PBS, p0, p1), fixups]
+    """Phase-in, splitter, phase-out layers realizing dec on each (p0, p1)
+    path pair (pairs holds them interleaved); the pairs must be disjoint, and
+    the angles of dec are all scalars or all one per pair. A zero angle's rows
+    are dropped: for a scalar, its whole side or column."""
+
+    def rows(kind: int, a: np.ndarray, angle, b=0) -> list[Column]:
+        if isinstance(angle, np.ndarray):
+            keep = np.abs(angle) >= _ZERO_ANGLE
+            a, angle = a[keep], angle[keep]
+            b = b[keep] if isinstance(b, np.ndarray) else b
+        elif abs(angle) < _ZERO_ANGLE:
+            return []
+        return [Column(kind, a, b, angle)] if len(a) else []
+
+    def shifters(phi_a, phi_b) -> list[Column]:
+        scalar = not isinstance(phi_a, np.ndarray)
+        if scalar and min(abs(phi_a), abs(phi_b)) < _ZERO_ANGLE:
+            return rows(PS, p0, phi_a) + rows(PS, p1, phi_b)  # at most one side is left
+        angle = np.empty(len(pairs))
+        angle[0::2], angle[1::2] = phi_a, phi_b
+        if not scalar:
+            return rows(PS, pairs, angle)
+        angle.flags.writeable = False  # like the shared path arrays: a gate's repeats share it
+        return [Column(PS, pairs, angle=angle)]
+
+    return (shifters(dec.phi_in_a, dec.phi_in_b) + rows(BS, p0, dec.theta, p1)
+            + shifters(dec.phi_out_a, dec.phi_out_b))
 
 
-def _crossing_stage(path_map: np.ndarray) -> list[Column]:
-    # Never the identity: a flip or an exchange always moves a path.
-    return [Column(PERM, np.zeros(1, np.int64), path_map=path_map)]
+class _Shapes:
+    """The path arrays of gate shapes under one assignment, each built on
+    first use and then shared, read-only, by every gate of its shape. A shape
+    is keyed by the ints control mask and target bit, so a gate's own work is
+    only its angles. compile_circuit and lower_gate each make one per call
+    and drop it: no memo outlives a call."""
+
+    def __init__(self, assignment: QubitAssignment):
+        self.assignment = assignment
+        self._paths = np.arange(1 << assignment.n_loc, dtype=np.int64)
+        self._built: dict[tuple, tuple[np.ndarray, ...]] = {}
+
+    def _shared(self, key: tuple, build) -> tuple[np.ndarray, ...]:
+        arrays = self._built.get(key)
+        if arrays is None:
+            arrays = self._built[key] = build(self._paths)
+            for array in arrays:
+                array.flags.writeable = False
+        return arrays
+
+    def mask(self, qubits: Sequence[int]) -> int:
+        """The path bits of the location qubits among qubits (the polarization
+        qubit has none; callers condition on it). Distinct operands, distinct bits."""
+        assignment = self.assignment
+        return sum(assignment.path_delta(q) for q in qubits if not assignment.is_pol(q))
+
+    def control_paths(self, mask: int) -> np.ndarray:
+        """The paths with every bit of mask 1."""
+        return self._shared(("control", mask), lambda paths: (paths[paths & mask == mask],))[0]
+
+    def pairs(self, mask: int, delta: int, flip: int = 0) -> tuple[np.ndarray, ...]:
+        """Each path with the mask bits 1 and the delta bit 0, its partner (the
+        path XOR delta | flip), and the two interleaved."""
+
+        def build(paths):
+            p0 = paths[paths & (mask | delta) == mask]
+            return _pair_arrays(p0, p0 ^ (delta | flip))
+
+        return self._shared(("pairs", mask, delta, flip), build)
+
+    def crossing(self, mask: int, delta: int, flip: int = 0) -> Column:
+        """One crossing, exchanging each pair of pairs(mask, delta, flip)."""
+
+        def build(paths):
+            p0, p1, _ = self.pairs(mask, delta, flip)
+            path_map = paths.copy()
+            path_map[p0], path_map[p1] = p1, p0
+            return np.zeros(1, np.int64), path_map  # a placeholder a; the table writes its own
+
+        row, path_map = self._shared(("crossing", mask, delta, flip), build)
+        return Column(PERM, row, path_map=path_map)
 
 
-def _flip(assignment: QubitAssignment, target: int, controls: Sequence[int]) -> list[Column]:
+def _flip(shapes: _Shapes, target: int, controls: Sequence[int]) -> list[Column]:
     """NOT on target where every control is 1: rotators on the control paths
     when the target is the polarization qubit, a PBS stage when a control is,
     and otherwise one crossing."""
+    assignment, mask = shapes.assignment, shapes.mask(controls)
     if assignment.is_pol(target):
-        return [Column(ROT, _control_paths(assignment, controls))]
+        return [Column(ROT, shapes.control_paths(mask))]
+    delta = assignment.path_delta(target)
     if assignment.pol_qubit in controls:
-        return _pbs_stage(assignment, target, controls)
-    paths, on = _controlled(assignment, controls)
-    return _crossing_stage(np.where(on, paths ^ assignment.path_delta(target), paths))
+        # V-conditioned path-bit flip: a PBS reflects V with phase i, so a
+        # -pi/2 V-filtered shifter on each touched path restores an exact CNOT.
+        p0, p1, pairs = shapes.pairs(mask, delta)
+        return [Column(PBS, p0, p1), Column(PS, pairs, angle=-math.pi / 2, pol=_V)]
+    return [shapes.crossing(mask, delta)]  # never the identity: a flip always moves a path
 
 
-def _exchange(
-    assignment: QubitAssignment, a: int, b: int, controls: Sequence[int]
-) -> list[Column]:
+def _exchange(shapes: _Shapes, a: int, b: int, controls: Sequence[int]) -> list[Column]:
     """SWAP of a and b where every control is 1: one crossing on location
     qubits, else three flips. A swapped polarization qubit is always b, so
     the stages run rotator, PBS, rotator."""
+    assignment = shapes.assignment
     if assignment.pol_qubit not in (a, b, *controls):
         da, db = assignment.path_delta(a), assignment.path_delta(b)
-        paths, on = _controlled(assignment, controls)
-        moves = on & ((paths & da == 0) != (paths & db == 0))
-        return _crossing_stage(np.where(moves, paths ^ da ^ db, paths))
+        # Each path with a's bit 1 and b's bit 0 trades places with its a-0, b-1 partner.
+        return [shapes.crossing(shapes.mask(controls) | da, db, da)]
     if assignment.is_pol(a):
         a, b = b, a
-    outer = _flip(assignment, b, (*controls, a))
-    return outer + _flip(assignment, a, (*controls, b)) + outer
+    outer = _flip(shapes, b, (*controls, a))
+    return outer + _flip(shapes, a, (*controls, b)) + outer
 
 
-def _phase(assignment: QubitAssignment, qubits: Sequence[int], phi: float) -> list[Column]:
+def _phase(shapes: _Shapes, qubits: Sequence[int], phi: float) -> list[Column]:
     """e^(i.phi) where every operand is 1: shifters on the paths where the
     location operands are 1, V-filtered when the polarization qubit is one."""
     if abs(_wrap(phi)) < _ZERO_ANGLE:
         return []
-    pol = _V if assignment.pol_qubit in qubits else POL_CODE_BOTH
-    return [Column(PS, _control_paths(assignment, qubits), angle=phi, pol=pol)]
+    pol = _V if shapes.assignment.pol_qubit in qubits else POL_CODE_BOTH
+    return [Column(PS, shapes.control_paths(shapes.mask(qubits)), angle=phi, pol=pol)]
 
 
-def _lower_1q_location(matrix: np.ndarray, qubit: int, assignment: QubitAssignment):
-    return _u2_assembly(decompose_u2(matrix), *_bit_pairs(assignment, qubit, ()))
+def _lower_1q_location(matrix: np.ndarray, qubit: int, shapes: _Shapes) -> list[Column]:
+    pairs = shapes.pairs(0, shapes.assignment.path_delta(qubit))
+    return _u2_assembly(decompose_u2(matrix), *pairs)
 
 
 _PHASE_ANGLES = {GateKind.Z: math.pi, GateKind.S: math.pi / 2, GateKind.CZ: math.pi}
 
 
-def _lower_columns(gate: Gate, assignment: QubitAssignment) -> list[Column]:
+def _lower_columns(gate: Gate, shapes: _Shapes) -> list[Column]:
     """Column layers realizing one gate exactly (no global-phase slack)."""
-    kind, qs = gate.kind, gate.qubits
+    kind, qs, assignment = gate.kind, gate.qubits, shapes.assignment
     on_pol = kind.n_qubits == 1 and assignment.is_pol(qs[0])
     if kind in (GateKind.CNOT, GateKind.TOFFOLI) or (on_pol and kind is GateKind.X):
-        return _flip(assignment, qs[-1], qs[:-1])
+        return _flip(shapes, qs[-1], qs[:-1])
     if kind in (GateKind.SWAP, GateKind.FREDKIN):
-        return _exchange(assignment, qs[-2], qs[-1], qs[:-2])
+        return _exchange(shapes, qs[-2], qs[-1], qs[:-2])
     if kind is GateKind.CZ or (on_pol and kind in (GateKind.Z, GateKind.S, GateKind.PHASE)):
         phi = gate.params[0] if kind is GateKind.PHASE else _PHASE_ANGLES[kind]
-        return _phase(assignment, qs, phi)
+        return _phase(shapes, qs, phi)
     if not on_pol:
-        return _lower_1q_location(one_qubit_matrix(gate), qs[0], assignment)
+        return _lower_1q_location(one_qubit_matrix(gate), qs[0], shapes)
     # Mixing gates (H, general U2) need a path pair to interfere on, so the
     # polarization qubit is exchanged onto a borrowed location qubit and back.
     if assignment.n_loc == 0:
@@ -365,15 +414,15 @@ def _lower_columns(gate: Gate, assignment: QubitAssignment) -> list[Column]:
             f"cannot lower {kind.value} on the polarization qubit without a location qubit"
         )
     borrow = assignment.location_order[-1]
-    swap = _exchange(assignment, borrow, qs[0], ())
-    return swap + _lower_1q_location(one_qubit_matrix(gate), borrow, assignment) + swap
+    swap = _exchange(shapes, borrow, qs[0], ())
+    return swap + _lower_1q_location(one_qubit_matrix(gate), borrow, shapes) + swap
 
 
 def lower_gate(gate: Gate, assignment: QubitAssignment) -> list[list[OpticalElement]]:
     """Layers realizing one gate exactly (no global-phase slack), as element
     views of the column layers compile_circuit lowers it to."""
     gate.validate_for(assignment.n_qubits)
-    return _element_layers(_lower_columns(gate, assignment), assignment.mode_space())
+    return _element_layers(_lower_columns(gate, _Shapes(assignment)), assignment.mode_space())
 
 
 def _cancel_adjacent_rotators(
@@ -414,29 +463,32 @@ def compile_circuit(
 ) -> OpticalNetlist:
     """Lower a whole circuit to an optical netlist, gates in circuit order:
     column layers, concatenated into one table that the netlist checks. Each
-    distinct gate text is lowered once per call; its repeats share the columns.
-    Trailing crossings become an output relabeling unless
-    relabel_terminal_crossings is false, and given an input_support the
-    netlist is pruned for those entry modes (prune_dead_paths)."""
+    distinct gate text is lowered once per call, and its repeats share the
+    columns; each gate shape's path arrays are built once per call, and gates
+    of one shape differ only in their angles. Trailing crossings become an
+    output relabeling unless relabel_terminal_crossings is false, and given
+    an input_support the netlist is pruned for those entry modes
+    (prune_dead_paths)."""
     if assignment is None:
         assignment = QubitAssignment.for_circuit(circuit)
     if assignment.n_qubits != circuit.n_qubits:
         raise CompileError(
             f"assignment covers {assignment.n_qubits} qubit(s), circuit has {circuit.n_qubits}"
         )
-    space = assignment.mode_space()
+    space, shapes = assignment.mode_space(), _Shapes(assignment)
     layers: list[Column] = []
     notes: list[str] = []
     lowered: dict[str, list[Column]] = {}  # by gate text: repr keeps -0.0 apart from 0.0
+    by_gate: dict[int, tuple[list[Column], str]] = {}  # by id: a repeated line shares its Gate
     for index, gate in enumerate(circuit.gates):
-        text = gate_text(gate)
-        if text not in lowered:  # its repeats share these columns, so none may write to them
-            lowered[text] = _lower_columns(gate, assignment)
-            for array in chain.from_iterable(lowered[text]):
-                if isinstance(array, np.ndarray):
-                    array.flags.writeable = False
-        layers += lowered[text]
-        notes += [f"g{index}: {text}"] * len(lowered[text])
+        if (entry := by_gate.get(id(gate))) is None:
+            text = gate_text(gate)
+            if text not in lowered:  # its repeats share these read-only columns
+                lowered[text] = _lower_columns(gate, shapes)
+            entry = by_gate[id(gate)] = lowered[text], text
+        columns, text = entry
+        layers += columns
+        notes += [f"g{index}: {text}"] * len(columns)
     layers, notes = _cancel_adjacent_rotators(layers, notes)
     relabel = (_extract_terminal_relabel(layers, notes, space)
                if relabel_terminal_crossings else None)
@@ -507,7 +559,7 @@ def prepare_location_state(
     if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-10:  # NaN fails too
         raise CompileError("preparation amplitudes must be normalized")
     dec = decompose_u2(_column_completion(complex(a), complex(b)))
-    pair = (np.zeros(1, np.int64), np.array([assignment.path_delta(qubit)]))
+    pair = _pair_arrays(np.zeros(1, np.int64), np.array([assignment.path_delta(qubit)]))
     return _element_layers(_u2_assembly(dec, *pair), assignment.mode_space())
 
 
@@ -537,5 +589,5 @@ def prepare_path_state(amplitudes: Sequence[complex], space: ModeSpace) -> list[
             parts.append((base, *decompose_u2(_column_completion(first, second))))
         p0, *angles = np.array(parts).reshape(-1, 6).T
         p0 = p0.astype(np.int64)
-        layers += _u2_assembly(U2Decomposition(*angles), p0, p0 + half)
+        layers += _u2_assembly(U2Decomposition(*angles), *_pair_arrays(p0, p0 + half))
     return _element_layers(layers, space)

@@ -191,11 +191,13 @@ def test_criterion_09_random_circuit_sweep():
         report = global_phase_distance(ref_u, netlist_unitary(netlist))
         worst = max(worst, report.distance)
     elapsed = time.perf_counter() - started
+    # The time gets its own line, so that the PASS line repeats byte for byte.
+    print(f"acceptance 9 took {elapsed:.1f}s (limit 30s)")
     _report(
         9,
         "200 random circuits compile and match the reference",
         worst < 1e-10 and elapsed < 30.0,
-        f"worst distance {worst:.2e} (tol 1e-10), {elapsed:.1f}s (limit 30s)",
+        f"worst distance {worst:.2e} (tol 1e-10), time limit 30s",
     )
 
 

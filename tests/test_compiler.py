@@ -202,6 +202,28 @@ class TestDecomposeU2:
         with pytest.raises(CompileError):
             decompose_u2(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
+    @pytest.mark.parametrize("offset", [0.5e-10, 2e-10])
+    def test_unitarity_bound(self, offset):
+        # max |m m^H - I| is offset: on the diagonal (a row's norm), then off it
+        # (two rows' overlap). The bound is 1e-10.
+        long_row = np.diag([math.sqrt(1 + offset), 1.0]) @ HADAMARD
+        skewed = np.array([[1.0, 0.0], [offset, 1.0]])
+        for m in (long_row, skewed):
+            assert np.max(np.abs(m @ m.conj().T - np.eye(2))) == pytest.approx(offset, rel=1e-3)
+            if offset < 1e-10:
+                assert all(map(math.isfinite, decompose_u2(m)))
+            else:
+                with pytest.raises(CompileError, match="not unitary"):
+                    decompose_u2(m)
+
+    @pytest.mark.parametrize("entry", [math.inf, math.nan])
+    def test_a_non_finite_entry_is_not_unitary(self, entry):
+        for row, col in itertools.product((0, 1), repeat=2):
+            m = np.eye(2, dtype=complex)
+            m[row, col] = entry
+            with pytest.raises(CompileError, match="not unitary"):
+                decompose_u2(m)
+
     def test_rejects_wrong_shape(self):
         with pytest.raises(CompileError):
             decompose_u2(np.eye(3))
@@ -457,10 +479,11 @@ def repetitive_circuits(draw):
 
 
 def compiled_gate_by_gate(circuit, assignment, input_support, relabel_terminal_crossings):
-    """compile_circuit's netlist with every gate lowered on its own."""
+    """compile_circuit's netlist with every gate lowered on its own, each with
+    a fresh memo of path arrays."""
     layers, notes = [], []
     for index, gate in enumerate(circuit.gates):
-        gate_layers = compiler._lower_columns(gate, assignment)
+        gate_layers = compiler._lower_columns(gate, compiler._Shapes(assignment))
         layers += gate_layers
         notes += [f"g{index}: {gate_text(gate)}"] * len(gate_layers)
     layers, notes = compiler._cancel_adjacent_rotators(layers, notes)
@@ -487,24 +510,40 @@ def test_repeated_gates_compile_as_if_lowered_alone(case):
 
 
 def test_each_distinct_gate_text_lowers_once_per_call(monkeypatch):
-    lowered = []
-    lower = compiler._lower_columns
-
-    def recording(gate, assignment):
-        lowered.append((gate_text(gate), lower(gate, assignment)))
-        return lowered[-1][1]
-
-    monkeypatch.setattr(compiler, "_lower_columns", recording)
     circ = parse_circuit("qubits 3\npol 2\nh 0\ncnot 0 1\nh 0\nphase 1 0.0\nphase 1 -0.0\n"
                          "cnot 0 1\nh 0\ncnot 0 2\nx 2\ncnot 0 2\n")
     distinct = ["h 0", "cnot 0 1", "phase 1 0.0", "phase 1 -0.0", "cnot 0 2", "x 2"]
-    compile_circuit(circ)
-    assert [text for text, _ in lowered] == distinct
-    compile_circuit(circ)  # no memo outlives a call
-    assert [text for text, _ in lowered] == distinct * 2
-    shared = [array for _, columns in lowered for column in columns for array in column
-              if isinstance(array, np.ndarray)]
-    assert shared and not any(array.flags.writeable for array in shared)
+    # Two assignments of different widths, compiled in alternation: a memo kept
+    # from an earlier call would hand over its arrays, or stale ones.
+    assignments = [QubitAssignment.for_circuit(circ), QubitAssignment(3, (2, 0, 1))]
+    references = [compiled_gate_by_gate(circ, asg, None, True) for asg in assignments]
+    calls = []  # per compile_circuit call: the _Shapes memos seen, and (text, columns) lowered
+    lower = compiler._lower_columns
+
+    def recording(gate, shapes):
+        calls[-1][0].add(shapes)
+        calls[-1][1].append((gate_text(gate), lower(gate, shapes)))
+        return calls[-1][1][-1][1]
+
+    monkeypatch.setattr(compiler, "_lower_columns", recording)
+    for asg, reference in zip(assignments * 2, references * 2):
+        calls.append((set(), []))
+        net = compile_circuit(circ, asg)
+        assert net == reference
+        assert netlist_to_json(net) == netlist_to_json(reference)
+    assert [[text for text, _ in lowered] for _, lowered in calls] == [distinct] * 4
+    memos = [memo for seen, _ in calls for memo in seen]
+    assert len(memos) == len(set(map(id, memos))) == len(calls)  # one memo per call
+    per_call = [[array for _, columns in lowered for column in columns for array in column
+                 if isinstance(array, np.ndarray)]
+                + [array for arrays in next(iter(seen))._built.values() for array in arrays]
+                for seen, lowered in calls]
+    assert all(per_call)
+    assert not any(array.flags.writeable for arrays in per_call for array in arrays)
+    owners = {}
+    for call, arrays in enumerate(per_call):
+        for array in arrays:  # each object is held by calls, so its id is not reused
+            assert owners.setdefault(id(array), call) == call, "an array outlived its call"
 
 
 class TestTerminalRelabel:
