@@ -101,18 +101,17 @@ class Gate:
         if any(type(p) is bool or not isinstance(p, (int, float)) for p in self.params):
             raise CircuitError(f"angles of {name} must be numbers, got {self.params!r}")
         object.__setattr__(self, "params", tuple(map(float, self.params)))
-        if len(self.qubits) != self.kind.n_qubits:
+        n_qubits, n_params = _N_QUBITS[self.kind], _N_PARAMS[self.kind]
+        if len(self.qubits) != n_qubits:
             raise CircuitError(
-                f"{name} takes {self.kind.n_qubits} qubit operand(s), got {len(self.qubits)}"
+                f"{name} takes {n_qubits} qubit operand(s), got {len(self.qubits)}"
             )
         if len(set(self.qubits)) != len(self.qubits):
             raise CircuitError(f"repeated operand in {name}")
         if any(q < 0 for q in self.qubits):
             raise CircuitError(f"negative qubit index in {name}")
-        if len(self.params) != self.kind.n_params:
-            raise CircuitError(
-                f"{name} takes {self.kind.n_params} angle(s), got {len(self.params)}"
-            )
+        if len(self.params) != n_params:
+            raise CircuitError(f"{name} takes {n_params} angle(s), got {len(self.params)}")
         if any(not math.isfinite(p) for p in self.params):
             raise CircuitError(f"angle in {name} must be finite")
 
@@ -267,14 +266,13 @@ def parse_circuit(text: str) -> QuantumCircuit:
         kind = _MNEMONICS.get(mnemonic)
         if kind is None:
             raise CircuitParseError(line_no, f"unknown mnemonic {mnemonic!r}")
-        if len(args) != kind.n_qubits + kind.n_params:
+        arity, n_params = _N_QUBITS[kind], _N_PARAMS[kind]
+        if len(args) != arity + n_params:
             raise CircuitParseError(
-                line_no,
-                f"{mnemonic} takes {kind.n_qubits} qubit(s) and {kind.n_params} angle(s)",
-            )
-        qubits = tuple(_parse_index(tok, line_no, n_qubits) for tok in args[: kind.n_qubits])
+                line_no, f"{mnemonic} takes {arity} qubit(s) and {n_params} angle(s)")
+        qubits = tuple(_parse_index(tok, line_no, n_qubits) for tok in args[:arity])
         try:
-            params = tuple(parse_angle(tok) for tok in args[kind.n_qubits :])
+            params = tuple(parse_angle(tok) for tok in args[arity:])
         except ValueError as exc:
             raise CircuitParseError(line_no, str(exc)) from None
         try:

@@ -67,16 +67,22 @@ tail holding everything after the last path, one text per distinct kind,
 pol and angle; a phase shifter is three cells.
 
 A layer (disjoint 2x2 blocks, phases and path swaps, like a column of a Reck
-or Clements mesh) applies as one gather update x[t] = c0*x[s0] + c1*x[s1]
-to a vector or the rows of a block, shared by propagate, netlist_unitary
-and element_unitary. Each call builds the rows one block of whole layers
-at a time (about _KERNEL_BLOCK elements; the whole table when one block
-covers it), over modes path*w + pol (w = 2 on a polarized space, else 1),
-one per footprint mode and ordered by element, so a layer is one slice; as
-each row stays in its element's modes, a layer updates at once. verify
-stays independent of the kernel through the statevec oracle, and the
-element conventions through tests against the circuit module's HADAMARD
-and PAULI_X constants.
+or Clements mesh) applies to a vector or the rows of a block, for
+propagate, netlist_unitary and element_unitary alike, as three classes of
+rows over a map pi from each logical mode to the row of x that holds it:
+moves (rotators, crossings, a PBS's V exchange) only rewrite pi; scales
+(shifters, and the i of each moved PBS V mode) set x[pi[t]] = c*x[pi[t]];
+mixes (splitters) set x[pi[t]] = c0*x[pi[t]] + c1*x[pi[p]]. Only scales and
+mixes touch x, each coefficient on the left of its product. The output
+relabeling rewrites pi too, and one gather at the end puts the rows back in
+mode order. Each call builds the rows one block of whole layers at a time
+(about _KERNEL_BLOCK elements; the whole table when one block covers it)
+straight from the table columns, each class in row order, over modes
+path*w + pol (w = 2 on a polarized space, else 1), so a layer is one slice
+of each class; as each row stays in its element's modes, a layer updates
+at once. verify stays independent of the kernel through the statevec
+oracle, and the element conventions through tests against the circuit
+module's HADAMARD and PAULI_X constants.
 """
 
 from __future__ import annotations
@@ -85,7 +91,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, pairwise
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
@@ -377,12 +383,6 @@ def _footprint(table: ElementTable, space: ModeSpace) -> tuple[np.ndarray, np.nd
     return np.concatenate(rows), np.concatenate(modes)
 
 
-def _ordered_footprint(table: ElementTable, space: ModeSpace) -> tuple[np.ndarray, np.ndarray]:
-    """_footprint's (row, mode) pairs, by row then mode."""
-    rows, modes = _footprint(table, space)
-    return np.divmod(np.sort(rows * space.dim + modes, kind="stable"), space.dim)
-
-
 def _row_layers(offsets: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
 
@@ -447,7 +447,8 @@ def element_unitary(element: OpticalElement, space: ModeSpace) -> np.ndarray:
 @dataclass(eq=False)
 class ModeAmplitudes:
     """Complex amplitude per mode. Norm 1 for a single-photon state; the
-    same linear propagation applies to unnormalized classical amplitudes."""
+    same linear propagation applies to unnormalized classical amplitudes.
+    Every amplitude is finite: NaN or inf raises NetlistError."""
 
     space: ModeSpace
     amplitudes: np.ndarray
@@ -458,6 +459,10 @@ class ModeAmplitudes:
             raise NetlistError(
                 f"expected {self.space.dim} amplitudes, got {self.amplitudes.shape[0]}"
             )
+        finite = np.isfinite(self.amplitudes)
+        if not finite.all():
+            mode = int(np.argmin(finite))
+            raise NetlistError(f"amplitude {self.amplitudes[mode]} of mode {mode} is not finite")
 
     @classmethod
     def basis(cls, space: ModeSpace, mode: int) -> ModeAmplitudes:
@@ -529,7 +534,8 @@ class OpticalNetlist:
 
     def footprints(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(layer, row, mode) of every mode each element occupies, by row then mode."""
-        rows, modes = _ordered_footprint(self.table, self.space)
+        rows, modes = _footprint(self.table, self.space)
+        rows, modes = np.divmod(np.sort(rows * self.space.dim + modes, kind="stable"), self.space.dim)
         return _row_layers(self.table.offsets)[rows], rows, modes
 
     def subset(self, keep: np.ndarray) -> OpticalNetlist:
@@ -543,7 +549,7 @@ class OpticalNetlist:
         return _netlist(self.space, table, notes, self.output_relabel)
 
 
-_KERNEL_BLOCK = 1 << 16  # element rows (about) whose gather rows are built at a time
+_KERNEL_BLOCK = 1 << 16  # element rows (about) whose kernel rows are built at a time
 
 
 def _layer_blocks(table: ElementTable) -> Iterator[tuple[int, ElementTable]]:
@@ -566,54 +572,90 @@ def _layer_blocks(table: ElementTable) -> Iterator[tuple[int, ElementTable]]:
                                table.maps[c0:c1])
 
 
-def _kernel_rows(table: ElementTable, space: ModeSpace) -> tuple[np.ndarray, ...]:
-    """The gather rows (row, t, s0, c0, s1, c1) of every element, by row: one
-    per footprint mode t, reading t and the partner mode p the element
-    couples into it. A splitter mixes the two (c0 = cos, c1 = i sin), a
-    shifter scales t, and a rotator, a crossing and a PBS on its V modes move
-    p to t, the PBS with phase i."""
+def _class_rows(n: int, dtypes: tuple, pieces: list) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One row class of n elements in row order: (ends, columns), element r's
+    rows being ends[r]:ends[r + 1]. Each piece (element rows, slot, a value
+    per column) fills the row at slot among each listed element's rows."""
+    counts = np.bincount(np.concatenate([rows for rows, *_ in pieces]), minlength=n)
+    ends = np.concatenate(([0], np.cumsum(counts)))
+    columns = [np.empty(ends[-1], dtype) for dtype in dtypes]
+    for rows, slot, *values in pieces:
+        at = ends[rows] + slot
+        for column, value in zip(columns, values):
+            column[at] = value
+    return ends, columns
+
+
+def _row_classes(table: ElementTable, space: ModeSpace) -> tuple[tuple[np.ndarray, list], ...]:
+    """The moves (t, s), scales (t, c) and mixes (t, p, c0, c1) of a block's
+    elements, each class as _class_rows gives it. A move sends logical mode
+    s to t: a rotator's two modes, a PBS's two V modes, and both pols of
+    each path a crossing changes. A scale multiplies t by c: a shifter's
+    modes by exp(i phi), a PBS's V modes by i once moved. A mix is
+    c0*x[t] + c1*x[p] for each mode t of a splitter, p the same pol on its
+    other path, c0 = cos and c1 = i sin. A PBS's H modes give no row."""
     w = 2 if space.uses_pol else 1
-    row, t = _ordered_footprint(table, space)
-    kind, angle = table.kind[row], table.angle[row]
-    path, k = t // w, t % w
-    splitter = kind == BS
-    # The same pol on the other path of a pair, the other pol of a rotator's path.
-    p = np.where(splitter | (kind == PBS), (table.a[row] + table.b[row] - path) * w + k,
-                 np.where(kind == ROT, t ^ 1, t))
-    crossing = kind == PERM  # moves map.index(d) to d, from each map's inverse
-    inverse = np.argsort(table.maps, axis=1)
-    p[crossing] = inverse[table.a[row[crossing]], path[crossing]] * w + k[crossing]
-    moves = (kind == ROT) | (kind == PERM) | ((kind == PBS) & (k == 1))
-    s0 = np.where(moves, p, t)
-    c0 = np.where(splitter, np.cos(angle), np.where(moves & (kind == PBS), 1j, 1.0))
-    c0[kind == PS] = np.cos(angle[kind == PS]) + 1j * np.sin(angle[kind == PS])
-    c1 = np.where(splitter, 1j * np.sin(angle), 0)
-    return row, t, s0, c0, np.where(splitter, p, s0), c1
+    kind, a, b, pol, n = table.kind, table.a, table.b, table.pol, len(table.kind)
+    bs, ps, rot, pbs = (np.flatnonzero(kind == code) for code in (BS, PS, ROT, PBS))
+    crossing, path = np.nonzero(table.maps != np.arange(space.n_paths))  # by crossing, then path
+    perm = np.flatnonzero(kind == PERM)[crossing]
+    slot = (np.arange(len(crossing)) - np.searchsorted(crossing, crossing)) * w
+    va, vb = a[pbs] * 2 + 1, b[pbs] * 2 + 1  # a PBS's V modes
+    moves = [(rot, 0, a[rot] * 2, a[rot] * 2 + 1), (rot, 1, a[rot] * 2 + 1, a[rot] * 2),
+             (pbs, 0, va, vb), (pbs, 1, vb, va)]
+    moves += [(perm, slot + k, table.maps[crossing, path] * w + k, path * w + k) for k in range(w)]
+    phi = table.angle[ps]
+    phase, both = np.cos(phi) + 1j * np.sin(phi), pol[ps] == POL_CODE_BOTH
+    scales = [(ps, 0, a[ps] * w + np.where(both, 0, pol[ps]), phase),
+              (pbs, 0, va, 1j), (pbs, 1, vb, 1j)]
+    if w == 2:
+        scales.append((ps[both], 1, a[ps[both]] * 2 + 1, phase[both]))
+    theta = table.angle[bs]
+    cos, sin = np.cos(theta), 1j * np.sin(theta)
+    mixes = []
+    for k in range(w):
+        ta, tb = a[bs] * w + k, b[bs] * w + k
+        mixes += [(bs, k, ta, tb, cos, sin), (bs, w + k, tb, ta, cos, sin)]
+    return (_class_rows(n, (np.int64,) * 2, moves), _class_rows(n, (np.int64, complex), scales),
+            _class_rows(n, (np.int64, np.int64, complex, complex), mixes))
 
 
 def _stream(x: np.ndarray, netlist: OpticalNetlist) -> np.ndarray:
-    """Apply every layer, one slice of the gather rows each, then the output
-    relabeling, in place to a mode vector or the rows of a (dim, k) block.
-    The gather rows are built one block of layers at a time (_layer_blocks)."""
+    """Apply every layer, then the output relabeling, to a mode vector or the
+    rows of a (dim, k) block, in place. A map pi gives the row of x that
+    holds each logical mode: a layer's moves rewrite pi, then its scales set
+    x[pi[t]] = c * x[pi[t]] and its mixes x[pi[t]] = c0*x[pi[t]] +
+    c1*x[pi[p]]; the relabeling rewrites pi too, and one gather at the end
+    puts the rows back in mode order. The rows are built one block of
+    layers at a time (_layer_blocks)."""
     space = netlist.space
+    pi = np.arange(space.dim)
     for _, block in _layer_blocks(netlist.table):
-        row, t, s0, c0, s1, c1 = _kernel_rows(block, space)
+        (me, (mt, ms)), (se, (st, sc)), (xe, (xt, xp, c0, c1)) = _row_classes(block, space)
         if x.ndim == 2:
-            c0, c1 = c0[:, None], c1[:, None]
-        bounds = np.searchsorted(row, block.offsets).tolist()
-        for lo, hi in zip(bounds, bounds[1:]):
-            if lo < hi:
-                x[t[lo:hi]] = c0[lo:hi] * x[s0[lo:hi]] + c1[lo:hi] * x[s1[lo:hi]]
+            sc, c0, c1 = sc[:, None], c0[:, None], c1[:, None]
+        bounds = (pairwise(ends[block.offsets].tolist()) for ends in (me, se, xe))
+        for (m0, m1), (s0, s1), (k0, k1) in zip(*bounds):  # a layer's slice of each class
+            if m0 < m1:
+                pi[mt[m0:m1]] = pi[ms[m0:m1]]
+            if s0 < s1:
+                r = pi[st[s0:s1]]
+                x[r] = sc[s0:s1] * x[r]
+            if k0 < k1:
+                r, q = pi[xt[k0:k1]], pi[xp[k0:k1]]
+                x[r] = c0[k0:k1] * x[r] + c1[k0:k1] * x[q]
     if netlist.output_relabel is not None:
         w = 2 if space.uses_pol else 1
         relabeled = np.repeat(netlist.output_relabel, w) * w + np.tile(np.arange(w), space.n_paths)
-        x[relabeled] = x.copy()
+        pi[relabeled] = pi.copy()
+    x[...] = x[pi]
     return x
 
 
 def propagate(netlist: OpticalNetlist, amplitudes: ModeAmplitudes) -> ModeAmplitudes:
-    """Stream the amplitude vector through the layer kernels. They are the
-    ones netlist_unitary uses, so the two agree by construction."""
+    """Stream the amplitude vector through the layer kernel (_stream): moves
+    rewrite the mode map, shifters scale and splitters mix. It is the one
+    netlist_unitary uses, so the two agree by construction."""
     if amplitudes.space != netlist.space:
         raise NetlistError("amplitude vector and netlist live on different mode spaces")
     return ModeAmplitudes(netlist.space, _stream(amplitudes.amplitudes.copy(), netlist))
@@ -621,7 +663,8 @@ def propagate(netlist: OpticalNetlist, amplitudes: ModeAmplitudes) -> ModeAmplit
 
 def netlist_unitary(netlist: OpticalNetlist) -> np.ndarray:
     """Dense unitary of the whole netlist, output relabeling included: the
-    identity streamed through the layer kernels, O(layers * dim^2)."""
+    identity streamed through the layer kernel (_stream), where only
+    shifters and splitters do arithmetic on the rows, O(layers * dim^2)."""
     return _stream(np.eye(netlist.space.dim, dtype=complex), netlist)
 
 

@@ -41,7 +41,6 @@ from photonc.optics import (
     netlist_unitary,
     propagate,
 )
-from photonc.optics import _kernel_rows
 
 from conftest import random_circuit
 
@@ -406,19 +405,99 @@ def test_json_matches_stdlib_encoder_past_a_16_bit_vocabulary():
 def test_kernel_rows_stay_in_footprint(net, block):
     # What makes the in-place layer update safe: an element reads and
     # writes only its own modes, and the modes of a layer are disjoint.
-    # Each row of a block's gather table names the element it belongs to,
-    # and the blocks _stream applies hold each footprint mode exactly once.
-    footprints = [set(reference_footprint(e, net.space)) for e in net.elements()]
-    applied = []
+    # Each element's move, scale and mix rows name only its footprint, each
+    # mode it changes is a target at most once per class, and every mode it
+    # changes (all of its footprint but a PBS's H modes) is a target.
+    space, elements = net.space, list(net.elements())
+    footprints = [set(reference_footprint(e, space)) for e in elements]
+    targets = [[] for _ in elements]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(optics, "_KERNEL_BLOCK", block)
         for first, table in optics._layer_blocks(net.table):
-            rows, targets, sources0, _, sources1, _ = _kernel_rows(table, net.space)
-            for row, target, source0, source1 in zip(rows + first, targets, sources0, sources1):
-                assert {target, source0, source1} <= footprints[row]
-                applied.append((row, target))
-    assert sorted(applied) == [(row, mode) for row, footprint in enumerate(footprints)
-                               for mode in sorted(footprint)]
+            for ends, (t, *columns) in optics._row_classes(table, space):
+                rows = first + np.repeat(np.arange(len(table.kind)), np.diff(ends))
+                reads = [column.tolist() for column in columns if column.dtype == np.int64]
+                for i, row in enumerate(rows.tolist()):
+                    assert {t[i], *(read[i] for read in reads)} <= footprints[row]
+                for row in set(rows.tolist()):
+                    mine = t[rows == row].tolist()
+                    assert len(mine) == len(set(mine))
+                    targets[row] += mine
+    for element, footprint, changed in zip(elements, footprints, targets):
+        if isinstance(element, PolarizingBeamSplitter):
+            footprint = {mode for mode in footprint if mode % 2}  # its H modes pass
+        assert set(changed) == footprint
+
+
+def reference_stream(net, x):
+    """x through the netlist as the optics module docstring documents each
+    layer: one gather x[t] <- c0 * x[s0] + c1 * x[s1] per mode t an element
+    changes, by its element's matrix, with each coefficient on the left and
+    no term whose coefficient is 0; a move of coefficient 1 is a copy. The
+    coefficients are computed as NumPy arrays, as the kernel computes them."""
+    space = net.space
+    w = 2 if space.uses_pol else 1
+
+    def column(c):
+        return np.asarray(c, dtype=complex)[:, None] if x.ndim == 2 else np.asarray(c, dtype=complex)
+
+    for layer in net.layers:
+        copies, singles, pairs = [], [], []  # (t, s), (t, s, angle or "i"), (t, p, theta)
+        for e in layer:
+            if isinstance(e, BeamSplitter):
+                for k in range(w):
+                    ta, tb = e.path_a * w + k, e.path_b * w + k
+                    pairs += [(ta, tb, e.theta), (tb, ta, e.theta)]
+            elif isinstance(e, PhaseShifter):
+                ks = {POL_H: [0], POL_V: [1], POL_BOTH: list(range(w))}[e.pol_filter]
+                singles += [(e.path * w + k, e.path * w + k, e.phi) for k in ks]
+            elif isinstance(e, Rotator):
+                copies += [(e.path * 2, e.path * 2 + 1), (e.path * 2 + 1, e.path * 2)]
+            elif isinstance(e, PolarizingBeamSplitter):
+                va, vb = e.path_a * 2 + 1, e.path_b * 2 + 1
+                singles += [(va, vb, "i"), (vb, va, "i")]
+            else:
+                copies += [(q * w + k, p * w + k) for p, q in enumerate(e.path_map) if p != q
+                           for k in range(w)]
+        new = x.copy()
+        for t, s in copies:
+            new[t] = x[s]
+        if singles:
+            t, s, angles = zip(*singles)
+            phi = np.array([0.0 if a == "i" else a for a in angles])
+            c = np.where([a == "i" for a in angles], 1j, np.cos(phi) + 1j * np.sin(phi))
+            new[list(t)] = column(c) * x[list(s)]
+        if pairs:
+            t, p, theta = map(list, zip(*pairs))
+            new[t] = column(np.cos(theta)) * x[t] + column(1j * np.sin(theta)) * x[p]
+        x = new
+    if net.output_relabel is not None:
+        relabeled = np.empty_like(x)
+        relabeled[[q * w + k for q in net.output_relabel for k in range(w)]] = x
+        x = relabeled
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(netlists(), st.integers(0, 2**32 - 1))
+def test_kernel_is_bit_equal_to_the_documented_gather(net, seed):
+    # Only shifters and splitters do arithmetic in the kernel; moves rewrite
+    # its mode map. Each amplitude must still take the documented products
+    # in their order, so every bit matches (a zero's sign aside), at every
+    # cut into layer blocks.
+    rng = np.random.default_rng(seed)
+    dim = net.space.dim
+    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    block = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+    expected = [reference_stream(net, np.eye(dim, dtype=complex)), reference_stream(net, vec),
+                reference_stream(net, block)]
+    for size in (1, 2, 3, optics._KERNEL_BLOCK):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optics, "_KERNEL_BLOCK", size)
+            got = [netlist_unitary(net), propagate(net, ModeAmplitudes(net.space, vec)).amplitudes,
+                   optics._stream(block.copy(), net)]
+        for want, have in zip(expected, got):
+            assert np.array_equal(have, want)
 
 
 @settings(max_examples=100, deadline=None)

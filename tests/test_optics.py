@@ -442,6 +442,15 @@ class TestModeAmplitudes:
         with pytest.raises(NetlistError):
             ModeAmplitudes(ModeSpace(2), np.zeros(3))
 
+    @pytest.mark.parametrize("bad, mode", [
+        ([math.nan, 1], 0), ([0, math.inf], 1), ([1, complex(0, -math.inf)], 1),
+        ([complex(math.nan, 0), math.inf], 0)])
+    def test_non_finite_amplitude_names_its_mode(self, bad, mode):
+        # An inf once reached propagate, which warned "invalid value
+        # encountered in multiply" at a splitter and returned [inf, inf].
+        with pytest.raises(NetlistError, match=rf"of mode {mode} is not finite"):
+            ModeAmplitudes(ModeSpace(1), np.array(bad, dtype=complex))
+
     def test_unnormalized_allowed(self):
         amps = ModeAmplitudes(ModeSpace(1), np.array([2.0, 0.0]))
         assert amps.probabilities().sum() == pytest.approx(4.0)
