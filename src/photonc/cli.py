@@ -218,59 +218,70 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("compile", "verify", "run", "stats", "diagram", "demo")
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser; given only, with that one command's subparser and
+    no other: each subparser costs about as much to build as the rest."""
     parser = argparse.ArgumentParser(
         prog="photonc",
         description="Compile small quantum circuits to single-photon linear-optical networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compile", help="lower a circuit file to a netlist JSON")
-    p.add_argument("circuit", help="circuit text file")
-    p.add_argument("-o", "--output", help="write the netlist here instead of stdout")
-    p.add_argument("--assignment", help="qubit assignment, e.g. 'loc=0,2;pol=1'")
-    p.add_argument("--prune", action="store_true", help="drop elements dead for the given input")
-    p.add_argument("--input", help="photon entry port as path bits plus optional pol, e.g. '00,H'")
-    p.add_argument("--no-relabel", action="store_true",
-                   help="keep trailing crossings instead of relabeling output ports")
-    p.set_defaults(func=_cmd_compile)
+    def command(name, help, func):
+        if only not in (None, name):
+            return None
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("verify", help="check a netlist against its circuit")
-    p.add_argument("circuit")
-    p.add_argument("netlist")
-    p.add_argument("--tol", type=_tolerance, default=1e-10,
-                   help="largest entry deviation that passes (default 1e-10)")
-    p.add_argument("--assignment", help="qubit assignment used at compile time")
-    p.set_defaults(func=_cmd_verify)
+    if p := command("compile", "lower a circuit file to a netlist JSON", _cmd_compile):
+        p.add_argument("circuit", help="circuit text file")
+        p.add_argument("-o", "--output", help="write the netlist here instead of stdout")
+        p.add_argument("--assignment", help="qubit assignment, e.g. 'loc=0,2;pol=1'")
+        p.add_argument("--prune", action="store_true", help="drop elements dead for the given input")
+        p.add_argument("--input", help="photon entry port as path bits plus optional pol, e.g. '00,H'")
+        p.add_argument("--no-relabel", action="store_true",
+                       help="keep trailing crossings instead of relabeling output ports")
 
-    p = sub.add_parser("run", help="propagate a single photon through a netlist")
-    p.add_argument("netlist")
-    p.add_argument("--input", required=True, help="entry port, e.g. '10' or '10,V'")
-    p.set_defaults(func=_cmd_run)
+    if p := command("verify", "check a netlist against its circuit", _cmd_verify):
+        p.add_argument("circuit")
+        p.add_argument("netlist")
+        p.add_argument("--tol", type=_tolerance, default=1e-10,
+                       help="largest entry deviation that passes (default 1e-10)")
+        p.add_argument("--assignment", help="qubit assignment used at compile time")
 
-    p = sub.add_parser("stats", help="element counts for a netlist")
-    p.add_argument("netlist")
-    p.set_defaults(func=_cmd_stats)
+    if p := command("run", "propagate a single photon through a netlist", _cmd_run):
+        p.add_argument("netlist")
+        p.add_argument("--input", required=True, help="entry port, e.g. '10' or '10,V'")
 
-    p = sub.add_parser("diagram", help="text rail diagram of a netlist")
-    p.add_argument("netlist")
-    p.set_defaults(func=_cmd_diagram)
+    if p := command("stats", "element counts for a netlist", _cmd_stats):
+        p.add_argument("netlist")
 
-    p = sub.add_parser("demo", help="built-in worked scenarios")
-    p.add_argument("which", choices=("mz", "teleport"))
-    p.add_argument("--rotator", action="store_true", help="mz: tag one arm's polarization")
-    p.add_argument("--alpha", default="0.6", help="teleport: first input amplitude")
-    p.add_argument("--beta", default="0.8i", help="teleport: second input amplitude")
-    p.add_argument("--no-prune", action="store_true", help="teleport: keep dead elements")
-    p.set_defaults(func=_cmd_demo)
+    if p := command("diagram", "text rail diagram of a netlist", _cmd_diagram):
+        p.add_argument("netlist")
+
+    if p := command("demo", "built-in worked scenarios", _cmd_demo):
+        p.add_argument("which", choices=("mz", "teleport"))
+        p.add_argument("--rotator", action="store_true", help="mz: tag one arm's polarization")
+        p.add_argument("--alpha", default="0.6", help="teleport: first input amplitude")
+        p.add_argument("--beta", default="0.8i", help="teleport: second input amplitude")
+        p.add_argument("--no-prune", action="store_true", help="teleport: keep dead elements")
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        # A command's subparser takes every argument after its name; the full
+        # parser refuses those it does not know, with a usage naming every command.
+        args, unknown = _build_parser(only).parse_known_args(argv)
+        if unknown:
+            _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -67,6 +67,7 @@ from .optics import (
     OpticalNetlist,
     _POL_FILTERS,
     _netlist,
+    _permutations,
     _table,
 )
 
@@ -248,7 +249,7 @@ def _column_table(layers: Sequence[Column], n_paths: int) -> ElementTable:
     b = _repeated([layer.b for layer in layers], counts, np.int64)
     angle = _repeated([layer.angle for layer in layers], counts, np.float64)
     maps = [layer.path_map for layer in layers if layer.kind == PERM]
-    return _table(kind, a, b, angle, pol, counts, maps, n_paths)
+    return _table(kind, a, b, angle, pol, counts, _permutations(maps, n_paths, "crossing map"))
 
 
 def _element_layers(layers: Sequence[Column], space: ModeSpace) -> list[list[OpticalElement]]:

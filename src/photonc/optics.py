@@ -40,31 +40,33 @@ whose a is k. One table, not a block per kind, keeps the element order
 inside a layer that the JSON text and net.layers follow. Angles are float64,
 so a library-built int angle 2 is stored and written as 2.0, as loaded.
 
-One builder, _table, makes every table (offsets, crossing numbers, maps
-checked to permute the paths) for one decoder, _decode, of element documents
-only (the JSON loader's, and each element's to_doc() for the constructor, so
-a field of the wrong type or shape raises one NetlistError that names it,
-the same from either), the loader's reader of the writer's own text
-(_read_written, on the ASCII bytes a file is read into, with no copy: a
-newline scan a chunk at a time into int32 line positions, then each field
-read from the 8-byte word that ends the line the writer's indent-2 layout
-puts it on, a kind or pol filter by a byte lookup and an angle by a hash
-of its text; kept only if writing the netlist back gives the same bytes,
-compared a chunk at a time, which is what catches a misread), the
-compiler's columns and subset; then one vectorized checker, _check, checks
-path ranges, distinct pairs, polarized-only kinds, finite angles and
-disjoint layers by one sort of (layer, mode) keys (and _netlist refuses a
-source gate that is not a str). Element objects are views that net.layers,
+One builder, _table, makes every table (offsets, crossing numbers, maps that
+_permutations checked to permute the paths) for one decoder, _decode, of
+element documents only (the JSON loader's, and each element's to_doc() for
+the constructor, so a field of the wrong type or shape raises one
+NetlistError that names it, the same from either), the loader's reader of
+the writer's own text (_read_written, on the ASCII bytes a file is read
+into, with no copy: a newline scan a chunk at a time into int32 line
+positions, then each field read from the 8-byte word that ends the line the
+writer's indent-2 layout puts it on, a kind or pol filter by a byte lookup
+and an angle by a hash of its text; kept only if writing the netlist back
+gives the same bytes, compared a chunk at a time, which is what catches a
+misread), the compiler's columns and subset; then one vectorized checker,
+_check, checks path ranges, distinct pairs, polarized-only kinds, finite
+angles and disjoint layers by one sort of (layer, mode) keys (and _netlist
+refuses a source gate that is not a str). A subset's rows are rows of a
+checked table, and dropping rows breaks none of these rules, so its maps and
+table are not checked again. Element objects are views that net.layers,
 net.elements(), element_modes and element_unitary build on demand; the
 kernel, stats, pruning, diagram and JSON writer read the columns. The JSON
 format lives here: each kind's keys are spelled in its to_doc and in
-_DOC_KEYS, which the decoder and the writer both read. The writer yields
-the text a block of elements at a time (_json_pieces): netlist_to_json
-joins the blocks, and CLI compile writes them as they come. Each element
-is at most five cells of one text vocabulary (_element_blocks): a head,
-one or two paths (a map for a crossing), a pair's middle literal, and a
-tail holding everything after the last path, one text per distinct kind,
-pol and angle; a phase shifter is three cells.
+_DOC_KEYS, which the decoder and the writer both read. The writer yields the
+text a block of elements at a time (_json_pieces): netlist_to_json joins the
+blocks, and CLI compile writes them as they come. Each element is at most
+five cells of one text vocabulary (_element_blocks): a head, one or two
+paths (a map for a crossing), a pair's middle literal, and a tail holding
+everything after the last path, one text per distinct kind, pol and angle; a
+phase shifter is three cells.
 
 A layer (disjoint 2x2 blocks, phases and path swaps, like a column of a Reck
 or Clements mesh) applies to a vector or the rows of a block, for
@@ -325,12 +327,12 @@ def _permutations(rows: Sequence, n_paths: int, name: str) -> np.ndarray:
 
 
 def _table(kind: np.ndarray, a: np.ndarray, b: np.ndarray, angle: np.ndarray, pol: np.ndarray,
-           counts: Sequence[int], maps: Sequence, n_paths: int) -> ElementTable:
+           counts: Sequence[int], maps: np.ndarray) -> ElementTable:
     """The one way an ElementTable is made: counts[i] rows in layer i, each
-    crossing's a (written in place) the row of its map in the checked maps."""
+    crossing's a (written in place) the row of its map in maps, which are
+    checked (_permutations) or rows of a checked table's maps."""
     a[kind == PERM] = np.arange(len(maps))
     offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-    maps = _permutations(maps, n_paths, "crossing map")
     return ElementTable(kind, a, b, angle, pol, offsets, maps)
 
 
@@ -364,7 +366,8 @@ def _decode(layers: list, n_paths: int) -> ElementTable:
             else:
                 columns["a"][rows] = _int_column(list(map(itemgetter(0), values)))
                 columns["b"][rows] = _int_column(list(map(itemgetter(1), values)))
-    return _table(kind, *columns.values(), list(map(len, layers)), maps, n_paths)
+    return _table(kind, *columns.values(), list(map(len, layers)),
+                  _permutations(maps, n_paths, "crossing map"))
 
 
 def _footprint(table: ElementTable, space: ModeSpace) -> tuple[np.ndarray, np.ndarray]:
@@ -411,8 +414,7 @@ def _check(space: ModeSpace, table: ElementTable) -> None:
 
 def _netlist(space: ModeSpace, table: ElementTable, source_gates: Sequence[str] = (),
              output_relabel: Sequence[int] | None = None, net: OpticalNetlist | None = None):
-    """The netlist of a table, checked: the one way every netlist is made."""
-    net = object.__new__(OpticalNetlist) if net is None else net
+    """The netlist of a table, checked: the way every netlist but a subset is made."""
     n_layers = len(table.offsets) - 1
     source_gates = tuple(source_gates) or ("",) * n_layers
     bad = [note for note in source_gates if not isinstance(note, str)]
@@ -425,6 +427,13 @@ def _netlist(space: ModeSpace, table: ElementTable, source_gates: Sequence[str] 
         output_relabel = tuple(output_relabel)
         relabel = _int_column(list(output_relabel), "output relabeling entry")
         _permutations([relabel], space.n_paths, "output relabeling")
+    return _frozen(space, table, source_gates, output_relabel, net)
+
+
+def _frozen(space: ModeSpace, table: ElementTable, source_gates: tuple[str, ...],
+            output_relabel: tuple[int, ...] | None, net: OpticalNetlist | None = None):
+    """The netlist of a checked table, its arrays made read-only."""
+    net = object.__new__(OpticalNetlist) if net is None else net
     for array in table:
         array.flags.writeable = False
     vars(net).update(space=space, table=table, source_gates=source_gates,
@@ -540,13 +549,14 @@ class OpticalNetlist:
 
     def subset(self, keep: np.ndarray) -> OpticalNetlist:
         """The netlist of the rows where keep is true; layers left empty are
-        dropped with their annotations."""
+        dropped with their annotations. Dropping rows breaks no rule of a
+        checked table, so the subset is not checked again."""
         t = self.table
         counts = np.bincount(_row_layers(t.offsets)[keep], minlength=self.n_layers)
         table = _table(t.kind[keep], t.a[keep], t.b[keep], t.angle[keep], t.pol[keep],
-                       counts[counts > 0], t.maps[t.a[keep & (t.kind == PERM)]], self.space.n_paths)
-        notes = [note for note, count in zip(self.source_gates, counts.tolist()) if count]
-        return _netlist(self.space, table, notes, self.output_relabel)
+                       counts[counts > 0], t.maps[t.a[keep & (t.kind == PERM)]])
+        notes = tuple(note for note, count in zip(self.source_gates, counts.tolist()) if count)
+        return _frozen(self.space, table, notes, self.output_relabel)
 
 
 _KERNEL_BLOCK = 1 << 16  # element rows (about) whose kernel rows are built at a time
@@ -604,14 +614,16 @@ def _row_classes(table: ElementTable, space: ModeSpace) -> tuple[tuple[np.ndarra
     moves = [(rot, 0, a[rot] * 2, a[rot] * 2 + 1), (rot, 1, a[rot] * 2 + 1, a[rot] * 2),
              (pbs, 0, va, vb), (pbs, 1, vb, va)]
     moves += [(perm, slot + k, table.maps[crossing, path] * w + k, path * w + k) for k in range(w)]
-    phi = table.angle[ps]
-    phase, both = np.cos(phi) + 1j * np.sin(phi), pol[ps] == POL_CODE_BOTH
+    # cos and sin once per distinct shifter or splitter angle, the angles told
+    # apart by their bits, as the writer does (-0.0 is not 0.0).
+    angles, index = _distinct(table.angle[np.concatenate((ps, bs))].view(np.int64))
+    cos, sin = np.cos(angles.view(np.float64)), np.sin(angles.view(np.float64))
+    phase, both = (cos + 1j * sin)[index[:len(ps)]], pol[ps] == POL_CODE_BOTH
     scales = [(ps, 0, a[ps] * w + np.where(both, 0, pol[ps]), phase),
               (pbs, 0, va, 1j), (pbs, 1, vb, 1j)]
     if w == 2:
         scales.append((ps[both], 1, a[ps[both]] * 2 + 1, phase[both]))
-    theta = table.angle[bs]
-    cos, sin = np.cos(theta), 1j * np.sin(theta)
+    cos, sin = cos[index[len(ps):]], (1j * sin)[index[len(ps):]]
     mixes = []
     for k in range(w):
         ta, tb = a[bs] * w + k, b[bs] * w + k
@@ -879,7 +891,7 @@ def _layout_table(u8: np.ndarray, lo: int, hi: int, n_paths: int) -> ElementTabl
         raise IndexError("crossing maps overrun the text")
     # A map's entries fill the lines after its slot's.
     maps = _layout_ints(words, ends[perms[:, None] + np.arange(n_paths) + _SLOT_LINES[PERM]["map"] + 1])
-    return _table(kind, *columns.values(), counts, maps, n_paths)
+    return _table(kind, *columns.values(), counts, _permutations(maps, n_paths, "crossing map"))
 
 
 def _read_written(data: bytes | str) -> OpticalNetlist | None:

@@ -1,3 +1,4 @@
+import argparse
 import json
 from functools import reduce
 from importlib import resources
@@ -5,7 +6,7 @@ from operator import getitem
 
 import pytest
 
-from photonc.cli import main
+from photonc.cli import _COMMANDS, _build_parser, main
 from photonc.optics import ELEMENT_KINDS
 
 TELEPORT_TEXT = (
@@ -479,3 +480,31 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        *([command, "-h"] for command in _COMMANDS), ["-h"], [], ["frobnicate"],
+        ["stats", "net.json", "--bogus"], ["run", "--input", "0"],
+        ["verify", "c.qc", "net.json", "--tol", "nan"], ["demo", "bogus"],
+    ], ids=lambda argv: " ".join(argv) or "(none)")
+    def test_messages_are_the_full_parsers(self, capsys, argv):
+        # main builds one command's parser when argv names it; what it
+        # prints and returns must still be what the full parser gives.
+        code = main(argv)
+        got = capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_:
+            _build_parser().parse_args(argv)
+        want = capsys.readouterr()
+        assert (got.out, got.err, code) == (want.out, want.err, exit_.value.code or 0)
+
+    @pytest.mark.parametrize("argv", [
+        ["compile", "c.qc", "-o", "net.json", "--prune", "--input", "00,H", "--no-relabel"],
+        ["verify", "c.qc", "net.json", "--tol", "1e-6", "--assignment", "loc=0"],
+        ["run", "net.json", "--input", "0"], ["stats", "net.json"], ["diagram", "net.json"],
+        ["demo", "teleport", "--alpha", "1", "--beta=0", "--no-prune"],
+    ], ids=lambda argv: argv[0])
+    def test_one_command_parser_parses_as_the_full_one(self, argv):
+        full = _build_parser()
+        (commands,) = (action.choices for action in full._actions
+                       if isinstance(action, argparse._SubParsersAction))
+        assert tuple(commands) == _COMMANDS
+        assert _build_parser(argv[0]).parse_args(argv) == full.parse_args(argv)

@@ -564,6 +564,10 @@ def test_pruning_matches_the_plain_element_loop(net, data):
     pruned = prune_dead_paths(net, support)
     assert pruned.layers == tuple(layer for layer, _ in kept)
     assert pruned.source_gates == tuple(note for _, note in kept)
+    # subset skips the checks and the map sort: its table must be the one the
+    # checked constructor builds, crossings renumbered, and read-only.
+    assert pruned == OpticalNetlist(space, pruned.layers, pruned.source_gates, pruned.output_relabel)
+    assert not any(array.flags.writeable for array in pruned.table)
 
 
 @settings(max_examples=100, deadline=None)
