@@ -20,7 +20,8 @@ Text format (one statement per line, '#' starts a comment):
     fredkin <control> <a> <b>
 
 Angle literals are decimal radians or multiples of pi ("pi", "pi/2",
-"-pi/4", "0.5pi").
+"-pi/4", "0.5pi"). Numbers are ASCII literals: a '_' separator or a
+non-ASCII digit, which Python's int and float would take, is refused.
 """
 
 from __future__ import annotations
@@ -190,7 +191,16 @@ class QuantumCircuit:
             raise CircuitError(f"pol qubit {pol!r} is not an int in range")
 
 
-_PI_LITERAL = re.compile(r"^([+-]?)(\d+(?:\.\d*)?|\.\d+)?pi(?:/(\d+(?:\.\d*)?|\.\d+))?$")
+_PI_LITERAL = re.compile(r"^([+-]?)(\d+(?:\.\d*)?|\.\d+)?pi(?:/(\d+(?:\.\d*)?|\.\d+))?$",
+                         re.ASCII)
+
+
+def _ascii_number(token: str, parse=int):
+    """parse(token) for an ASCII literal only: int, float and complex also
+    take '_' separators and any Unicode digit."""
+    if not token.strip().isascii() or "_" in token:
+        raise ValueError(f"{token!r} is not an ASCII number")
+    return parse(token)
 
 
 def parse_angle(token: str) -> float:
@@ -205,7 +215,7 @@ def parse_angle(token: str) -> float:
             raise ValueError(f"malformed angle {token!r}")
         return sign * coef * math.pi / div
     try:
-        value = float(text)
+        value = _ascii_number(text, float)
     except ValueError:
         raise ValueError(f"malformed angle {token!r}") from None
     if not math.isfinite(value):
@@ -218,7 +228,7 @@ _MNEMONICS = {kind.value: kind for kind in GateKind}
 
 def _parse_index(token: str, line: int, n_qubits: int) -> int:
     try:
-        q = int(token)
+        q = _ascii_number(token)
     except ValueError:
         raise CircuitParseError(line, f"bad qubit index {token!r}") from None
     if not 0 <= q < n_qubits:
@@ -248,7 +258,7 @@ def parse_circuit(text: str) -> QuantumCircuit:
             if len(args) != 1:
                 raise CircuitParseError(line_no, "qubits takes one argument")
             try:
-                n_qubits = int(args[0])
+                n_qubits = _ascii_number(args[0])
             except ValueError:
                 raise CircuitParseError(line_no, f"bad qubit count {args[0]!r}") from None
             if n_qubits < 1:

@@ -1,19 +1,22 @@
 """Command-line front end.
 
 Exit codes: 0 success (and verification pass), 1 verification failure,
-2 bad input (circuit/netlist files, specs, usage), 3 compile or internal
-errors and running out of memory. Output is deterministic for fixed inputs.
+2 bad input (circuit/netlist files, specs, usage) or output that cannot be
+written (an -o file, a closed stdout, or one whose reader closed it, as
+`| head` does), 3 compile or internal errors and running out of memory.
+Output is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
 
-from .circuit import CircuitParseError, QuantumCircuit, parse_circuit
+from .circuit import CircuitParseError, QuantumCircuit, _ascii_number, parse_circuit
 from .compiler import CompileError, QubitAssignment, compile_circuit, device_stats
 from .diagram import render_diagram
 from .equivalence import basis_order, global_phase_distance
@@ -79,9 +82,9 @@ def _parse_assignment(text: str, n_qubits: int) -> QubitAssignment:
         seen.add(key)
         try:
             if key == "loc":  # int("") refuses the empty entry of "0,,1"; a bare "loc=" is ()
-                loc = tuple(map(int, value.split(","))) if value.strip() else ()
+                loc = tuple(map(_ascii_number, value.split(","))) if value.strip() else ()
             elif key == "pol":
-                pol = int(value)
+                pol = _ascii_number(value)
             else:
                 raise _UsageError(f"unknown assignment key {key!r}")
         except ValueError:
@@ -117,14 +120,14 @@ def _parse_input_mode(space: ModeSpace, text: str) -> int:
 
 def _parse_amplitude(text: str) -> complex:
     try:
-        return complex(text.strip().replace("i", "j"))
+        return _ascii_number(text.strip().replace("i", "j"), complex)
     except ValueError:
         raise _UsageError(f"bad amplitude literal {text!r} (examples: 0.6, 0.8i, 0.5+0.5i)") from None
 
 
 def _tolerance(text: str) -> float:
     try:
-        tol = float(text)
+        tol = _ascii_number(text, float)
     except ValueError:
         tol = math.nan  # refused below with the same message
     if not (math.isfinite(tol) and tol >= 0):
@@ -285,7 +288,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        if sys.stdout is None:  # started with stdout closed, as `>&-` does
+            raise _UsageError("cannot write to stdout: it is closed")
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return status
+    except BrokenPipeError as exc:
+        # The exit flush then writes what is left to devnull, not to the closed pipe.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        return 2
     except (_UsageError, CircuitParseError, NetlistFormatError, SpaceTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -464,12 +464,12 @@ def compile_circuit(
 ) -> OpticalNetlist:
     """Lower a whole circuit to an optical netlist, gates in circuit order:
     column layers, concatenated into one table that the netlist checks. Each
-    distinct gate text is lowered once per call, and its repeats share the
-    columns; each gate shape's path arrays are built once per call, and gates
-    of one shape differ only in their angles. Trailing crossings become an
-    output relabeling unless relabel_terminal_crossings is false, and given
-    an input_support the netlist is pruned for those entry modes
-    (prune_dead_paths)."""
+    Gate object is lowered once per call, and its repeats share the columns
+    (parse_circuit shares one Gate per distinct line); each gate shape's path
+    arrays are built once per call, and gates of one shape differ only in
+    their angles. Trailing crossings become an output relabeling unless
+    relabel_terminal_crossings is false, and given an input_support the
+    netlist is pruned for those entry modes (prune_dead_paths)."""
     if assignment is None:
         assignment = QubitAssignment.for_circuit(circuit)
     if assignment.n_qubits != circuit.n_qubits:
@@ -479,14 +479,10 @@ def compile_circuit(
     space, shapes = assignment.mode_space(), _Shapes(assignment)
     layers: list[Column] = []
     notes: list[str] = []
-    lowered: dict[str, list[Column]] = {}  # by gate text: repr keeps -0.0 apart from 0.0
     by_gate: dict[int, tuple[list[Column], str]] = {}  # by id: a repeated line shares its Gate
     for index, gate in enumerate(circuit.gates):
-        if (entry := by_gate.get(id(gate))) is None:
-            text = gate_text(gate)
-            if text not in lowered:  # its repeats share these read-only columns
-                lowered[text] = _lower_columns(gate, shapes)
-            entry = by_gate[id(gate)] = lowered[text], text
+        if (entry := by_gate.get(id(gate))) is None:  # its repeats share these read-only columns
+            entry = by_gate[id(gate)] = _lower_columns(gate, shapes), gate_text(gate)
         columns, text = entry
         layers += columns
         notes += [f"g{index}: {text}"] * len(columns)

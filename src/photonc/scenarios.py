@@ -153,41 +153,32 @@ def _heralded(final: ModeAmplitudes, kept_bit: int) -> list[tuple[int, float, np
     return branches
 
 
+def _report(name: str, circuit: QuantumCircuit, netlist: OpticalNetlist, final: ModeAmplitudes,
+            branches: tuple[BranchOutcome, ...] = (), *, notes: tuple[str, ...]) -> ScenarioReport:
+    """The report of a photon fed into mode 0, its readings and reduced paths read off final."""
+    return ScenarioReport(name, circuit, netlist, 0, final, _readings(final),
+                          reduced_path_matrix(final), branches, notes)
+
+
 def demo_mz(rotator: bool = False) -> ScenarioReport:
     """Balanced interferometer; with rotator=True one arm tags the photon's
     polarization, trading the interference fringe for which-path marking."""
     circuit = mz_rotator_circuit() if rotator else mz_circuit()
-    assignment = QubitAssignment.for_circuit(circuit)
-    netlist = compile_circuit(circuit, assignment)
-    space = netlist.space
-    final = propagate(netlist, ModeAmplitudes.basis(space, 0))
-    readings = _readings(final)
-    branches: tuple[BranchOutcome, ...] = ()
-    notes: tuple[str, ...]
-    if rotator:
-        branches = tuple(
-            BranchOutcome(herald=f"output path {path}", probability=prob,
-                          conditional=tuple(complex(c) for c in state))
-            for path, prob, state in _heralded(final, kept_bit=space.n_loc)
-        )
-        overlap = abs(np.vdot(branches[0].conditional, branches[1].conditional)) ** 2
-        notes = (
-            "the rotated arm leaves orthogonal polarization records "
-            f"(port overlap {overlap:.3e}), so the ports split 1/2 each",
-        )
-    else:
-        notes = ("with balanced arms the photon always exits its input port",)
-    return ScenarioReport(
-        name="mz_rotator" if rotator else "mz",
-        circuit=circuit,
-        netlist=netlist,
-        input_mode=0,
-        final=final,
-        readings=readings,
-        reduced_paths=reduced_path_matrix(final),
-        branches=branches,
-        notes=notes,
+    netlist = compile_circuit(circuit)
+    final = propagate(netlist, ModeAmplitudes.basis(netlist.space, 0))
+    if not rotator:
+        return _report("mz", circuit, netlist, final,
+                       notes=("with balanced arms the photon always exits its input port",))
+    branches = tuple(
+        BranchOutcome(herald=f"output path {path}", probability=prob,
+                      conditional=tuple(complex(c) for c in state))
+        for path, prob, state in _heralded(final, kept_bit=netlist.space.n_loc)
     )
+    overlap = abs(np.vdot(branches[0].conditional, branches[1].conditional)) ** 2
+    return _report("mz_rotator", circuit, netlist, final, branches, notes=(
+        "the rotated arm leaves orthogonal polarization records "
+        f"(port overlap {overlap:.3e}), so the ports split 1/2 each",
+    ))
 
 
 def demo_teleport(alpha: complex, beta: complex, prune: bool = True) -> ScenarioReport:
@@ -216,14 +207,5 @@ def demo_teleport(alpha: complex, beta: complex, prune: bool = True) -> Scenario
         )
         for herald, prob, state in _heralded(final, kept_bit=1)
     )
-    return ScenarioReport(
-        name="teleport",
-        circuit=circuit,
-        netlist=combined,
-        input_mode=0,
-        final=final,
-        readings=_readings(final),
-        reduced_paths=reduced_path_matrix(final),
-        branches=branches,
-        notes=("all four heralds deliver the input state without correction",),
-    )
+    return _report("teleport", circuit, combined, final, branches,
+                   notes=("all four heralds deliver the input state without correction",))

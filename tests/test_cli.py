@@ -1,11 +1,16 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from functools import reduce
 from importlib import resources
 from operator import getitem
+from pathlib import Path
 
 import pytest
 
+import photonc
 from photonc.cli import _COMMANDS, _build_parser, main
 from photonc.optics import ELEMENT_KINDS
 
@@ -508,3 +513,68 @@ class TestUsage:
                        if isinstance(action, argparse._SubParsersAction))
         assert tuple(commands) == _COMMANDS
         assert _build_parser(argv[0]).parse_args(argv) == full.parse_args(argv)
+
+
+def _photonc(argv, **popen):
+    """A photonc process running the package under test, its stderr piped."""
+    package_root = str(Path(photonc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    return subprocess.Popen([sys.executable, "-m", "photonc.cli", *argv],
+                            stderr=subprocess.PIPE, env=env, **popen)
+
+
+def test_closed_stdout_is_exit_2_without_traceback(tmp_path):
+    # A reader that stops after one byte, as `| head -c 1` does: exit 2 and
+    # one error line, as for an unwritable -o, never a traceback's exit 1.
+    circuit = tmp_path / "wide.qc"
+    circuit.write_text("qubits 16\nh 0\n", encoding="utf-8")
+    proc = _photonc(["compile", str(circuit)], stdout=subprocess.PIPE)
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert err.startswith("error: cannot write to stdout: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [["compile", "{qc}"], ["demo", "mz"]], ids=["compile", "demo"])
+def test_stdout_closed_at_start_is_exit_2(teleport_qc, argv):
+    # Started as `photonc ... >&-`: nothing can be written, so no command runs,
+    # neither to a traceback nor to a silent exit 0 that lost its output.
+    proc = _photonc([arg.format(qc=teleport_qc) for arg in argv], preexec_fn=lambda: os.close(1))
+    err = proc.communicate(timeout=120)[1].decode()
+    assert proc.returncode == 2
+    assert err == "error: cannot write to stdout: it is closed\n"
+
+
+@pytest.mark.parametrize("source, argv, message", [
+    ("qubits 1_0\nh 0\n", ["compile", "{qc}"], "line 1: bad qubit count '1_0'"),
+    ("qubits 2\nh \u0661\n", ["compile", "{qc}"], "line 2: bad qubit index"),
+    ("qubits 1\nphase 0 1_000\n", ["compile", "{qc}"], "line 2: malformed angle '1_000'"),
+    ("qubits 1\nphase 0 pi/\u0662\n", ["compile", "{qc}"], "line 2: malformed angle"),
+    (TELEPORT_TEXT, ["compile", "{qc}", "--assignment", "loc=\u0660,1;pol=2"],
+     "bad assignment value"),
+    (TELEPORT_TEXT, ["verify", "{qc}", "{net}", "--tol", "\u0661"], "--tol: must be"),
+    (TELEPORT_TEXT, ["demo", "teleport", "--alpha", "\u0660.6"], "bad amplitude literal"),
+], ids=["qubits", "index", "angle", "pi-divisor", "assignment", "tol", "alpha"])
+def test_numbers_are_ascii_literals(teleport_netlist, tmp_path, capsys, source, argv, message):
+    # Python's int, float and complex take '_' separators and every Unicode
+    # digit; a number on the command line or in a circuit file must be ASCII.
+    qc = tmp_path / "c.qc"
+    qc.write_text(source, encoding="utf-8")
+    capsys.readouterr()
+    assert main([arg.format(qc=qc, net=teleport_netlist) for arg in argv]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_ascii_numbers_keep_every_form(teleport_qc, teleport_netlist, tmp_path, capsys):
+    # Signs, leading zeros, spaces beside a number, pi multiples and exponents.
+    qc = tmp_path / "c.qc"
+    qc.write_text("qubits +03\npol 02\nh 01\nphase 0 0.5pi\nphase 1 1e-3\nu2 0 +1 -.5 2. pi/4\n",
+                  encoding="utf-8")
+    net = str(tmp_path / "net.json")
+    assert main(["compile", str(qc), "--assignment", " loc=+01, 00 ;pol= 2", "-o", net]) == 0
+    assert main(["verify", str(qc), net, "--assignment", "loc=1,0;pol=2", "--tol", "1E-3"]) == 0
+    assert main(["verify", teleport_qc, teleport_netlist, "--tol", " 1e-3 "]) == 0
+    assert main(["demo", "teleport", "--alpha", "+0.6", "--beta", "0.8e0i"]) == 0

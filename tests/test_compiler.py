@@ -546,6 +546,25 @@ def test_each_distinct_gate_text_lowers_once_per_call(monkeypatch):
             assert owners.setdefault(id(array), call) == call, "an array outlived its call"
 
 
+def test_separate_equal_gates_each_lower_with_their_own_text():
+    # Equal but separate Gate objects, as a Python-built circuit holds them.
+    # 0.0 == -0.0, so a memo keyed by Gate equality would give the second u2
+    # the first one's columns and note.
+    gates = (h(0), h(0), phase(1, 0.0), phase(1, -0.0),
+             u2(0, 0.5, 0.0, 0.25, 0.0), u2(0, 0.5, -0.0, 0.25, 0.0))
+    circ = QuantumCircuit(2, gates)
+    assert len(set(map(id, circ.gates))) == len(gates) and gates[0] == gates[1]
+    asg = QubitAssignment.for_circuit(circ)
+    net = compile_circuit(circ, asg)
+    reference = compiled_gate_by_gate(circ, asg, None, True)
+    assert net == reference
+    assert netlist_to_json(net) == netlist_to_json(reference)
+    for note in net.source_gates:
+        index, text = note.split(": ")
+        assert text == gate_text(gates[int(index[1:])])
+    assert {note.split(":")[0] for note in net.source_gates} == {"g0", "g1", "g4", "g5"}
+
+
 class TestTerminalRelabel:
     def test_trailing_crossing_becomes_relabel(self):
         circ = parse_circuit("qubits 2\nh 0\ncnot 0 1\n")
