@@ -346,44 +346,15 @@ def one_qubit_matrix(gate: Gate) -> np.ndarray:
     raise CircuitError(f"{gate.kind.value} is not a single-qubit gate")
 
 
-def _bit(index: int, qubit: int, n: int) -> int:
-    return (index >> (n - 1 - qubit)) & 1
-
-
-def _stride(qubit: int, n: int) -> int:
-    return 1 << (n - 1 - qubit)
-
-
-def _mapped_basis_action(gate: Gate, index: int, n: int) -> tuple[int, complex]:
-    """Destination index and coefficient for a permutation-with-phases gate."""
-    kind, qs = gate.kind, gate.qubits
-    if kind is GateKind.CNOT:
-        c, t = qs
-        return (index ^ _stride(t, n)) if _bit(index, c, n) else index, 1.0
-    if kind is GateKind.CZ:
-        a, b = qs
-        flip = _bit(index, a, n) and _bit(index, b, n)
-        return index, -1.0 if flip else 1.0
-    if kind is GateKind.SWAP:
-        a, b = qs
-        if _bit(index, a, n) != _bit(index, b, n):
-            return index ^ _stride(a, n) ^ _stride(b, n), 1.0
-        return index, 1.0
-    if kind is GateKind.TOFFOLI:
-        c1, c2, t = qs
-        if _bit(index, c1, n) and _bit(index, c2, n):
-            return index ^ _stride(t, n), 1.0
-        return index, 1.0
-    if kind is GateKind.FREDKIN:
-        c, a, b = qs
-        if _bit(index, c, n) and _bit(index, a, n) != _bit(index, b, n):
-            return index ^ _stride(a, n) ^ _stride(b, n), 1.0
-        return index, 1.0
-    raise CircuitError(f"{kind.value} has no basis-permutation form")
-
-
 def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
-    """Dense 2^n x 2^n unitary of a gate embedded in an n-qubit register."""
+    """Dense 2^n x 2^n unitary of a gate embedded in an n-qubit register.
+
+    A one-qubit gate is a Kronecker product. A multi-qubit gate sends each
+    basis index to one index with a sign, read off the operand bits of
+    every index at once: CZ negates where both read 1; CNOT and TOFFOLI
+    flip the last operand where every control reads 1; SWAP and FREDKIN
+    exchange the last two where every control reads 1 and the pair differs.
+    """
     gate.validate_for(n_qubits)
     if gate.kind.n_qubits == 1:
         q = gate.qubits[0]
@@ -391,9 +362,16 @@ def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
         left = np.eye(1 << q, dtype=complex)
         right = np.eye(1 << (n_qubits - 1 - q), dtype=complex)
         return np.kron(np.kron(left, m), right)
-    dim = 1 << n_qubits
-    u = np.zeros((dim, dim), dtype=complex)
-    for src in range(dim):
-        dst, amp = _mapped_basis_action(gate, src, n_qubits)
-        u[dst, src] = amp
+    index = np.arange(1 << n_qubits)
+    bits = [index >> (n_qubits - 1 - q) & 1 for q in gate.qubits]
+    u = np.zeros((index.size, index.size), dtype=complex)
+    if gate.kind is GateKind.CZ:
+        u[index, index] = np.where(bits[0] & bits[1], -1.0, 1.0)
+        return u
+    moved = 2 if gate.kind in (GateKind.SWAP, GateKind.FREDKIN) else 1
+    flips = bits[-2] ^ bits[-1] if moved == 2 else 1
+    for control in bits[:-moved]:
+        flips = flips & control
+    mask = sum(1 << (n_qubits - 1 - q) for q in gate.qubits[-moved:])
+    u[index ^ flips * mask, index] = 1.0
     return u

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (and verification pass), 1 verification failure,
 2 bad input (circuit/netlist files, specs, usage) or output that cannot be
-written (an -o file, a closed stdout, or one whose reader closed it, as
-`| head` does), 3 compile or internal errors and running out of memory.
+written (an -o file, a closed stdout, one whose reader closed it, as
+`| head` does, or one on a full device), 3 compile or internal errors and
+running out of memory.
 Output is deterministic for fixed inputs.
 """
 
@@ -293,8 +294,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return status
-    except BrokenPipeError as exc:
-        # The exit flush then writes what is left to devnull, not to the closed pipe.
+    except OSError as exc:
+        # Reads and -o writes turn their OSError into a _UsageError where they
+        # happen, so this one is stdout's: a closed pipe, a full disk. The exit
+        # flush then writes what is left to devnull, not to the failed stdout.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

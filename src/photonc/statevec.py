@@ -2,10 +2,15 @@
 
 Two independent execution routes are kept on purpose:
 
-  - run_circuit applies each gate sparsely to the amplitude vector using
-    stride arithmetic over basis indices (no 2^n x 2^n matrix is built);
-    circuit_unitary runs the same gates over the row-major flat identity,
-    a 2n-qubit vector whose high n qubits are the row index, in O(G * 4^n);
+  - run_circuit applies each gate to the (2,)*n view of the amplitudes as
+    one of three primitives: a 2x2 on one qubit's axis (H, X, U2), a phase
+    where every operand reads 1 (Z, S, PHASE, CZ), or an exchange of two
+    halves where every control reads 1 (CNOT and TOFFOLI flip their last
+    operand, SWAP and FREDKIN exchange their last two). Phases and
+    exchanges are written in place, an exchange through one copy of one
+    half; no 2^n x 2^n matrix is built. circuit_unitary runs the same gates
+    over the row-major flat identity, a 2n-qubit vector whose high n qubits
+    are the row index, in O(G * 4^n);
   - run_circuit_dense multiplies the embedded gate unitaries together.
 
 Agreement between the two is a standing cross-check in the test suite.
@@ -14,7 +19,6 @@ Agreement between the two is a standing cross-check in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -70,53 +74,38 @@ def _apply_single(amps: np.ndarray, matrix: np.ndarray, qubit: int, n: int) -> n
     return np.einsum("ab,xby->xay", matrix, psi).reshape(-1)
 
 
-def _selector(n: int, fixed: dict[int, int]) -> tuple:
-    sel: list = [slice(None)] * n
-    for qubit, value in fixed.items():
-        sel[qubit] = value
-    return tuple(sel)
-
-
-def _apply_swap(
-    amps: np.ndarray, controls: Iterable[int], first: dict, second: dict, n: int
-) -> np.ndarray:
-    # Exchange the amplitudes reading `first` and `second` where all controls are 1.
-    psi = amps.reshape([2] * n).copy()
-    base = {c: 1 for c in controls}
-    sel0, sel1 = _selector(n, base | first), _selector(n, base | second)
-    psi[sel0], psi[sel1] = psi[sel1].copy(), psi[sel0].copy()
-    return psi.reshape(-1)
-
-
-def _apply_phase_where(
-    amps: np.ndarray, ones: Iterable[int], factor: complex, n: int
-) -> np.ndarray:
-    psi = amps.reshape([2] * n).copy()
-    psi[_selector(n, {q: 1 for q in ones})] *= factor
-    return psi.reshape(-1)
+_PHASES = {GateKind.Z: -1.0, GateKind.CZ: -1.0, GateKind.S: 1.0j}
+_EXCHANGED = {GateKind.CNOT: 1, GateKind.TOFFOLI: 1, GateKind.SWAP: 2, GateKind.FREDKIN: 2}
 
 
 def _apply_gate(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
+    """amps after one gate: a 2x2 on one qubit's axis returns a new array;
+    a phase or an exchange overwrites amps and returns its flat view."""
     kind, qs = gate.kind, gate.qubits
     if kind in (GateKind.H, GateKind.X, GateKind.U2):
         return _apply_single(amps, one_qubit_matrix(gate), qs[0], n)
-    if kind in (GateKind.Z, GateKind.CZ):
-        return _apply_phase_where(amps, qs, -1.0, n)
-    if kind is GateKind.S:
-        return _apply_phase_where(amps, qs, 1.0j, n)
-    if kind is GateKind.PHASE:
-        return _apply_phase_where(amps, qs, np.exp(1j * gate.params[0]), n)
-    if kind in (GateKind.CNOT, GateKind.TOFFOLI):
-        *controls, target = qs
-        return _apply_swap(amps, controls, {target: 0}, {target: 1}, n)
-    if kind in (GateKind.SWAP, GateKind.FREDKIN):
-        *controls, a, b = qs
-        return _apply_swap(amps, controls, {a: 0, b: 1}, {a: 1, b: 0}, n)
-    raise ValueError(f"unhandled gate kind {kind.value}")
+    psi = amps.reshape((2,) * n)
+    where = [slice(None)] * n
+    moved = _EXCHANGED.get(kind, 0)  # the last operands an exchange moves
+    for q in qs[:len(qs) - moved]:
+        where[q] = 1
+    if not moved:
+        psi[tuple(where)] *= np.exp(1j * gate.params[0]) if kind is GateKind.PHASE else _PHASES[kind]
+        return psi.reshape(-1)
+    # The first moved operand reads 0 in first and 1 in second; a pair's
+    # other operand reads the opposite bit.
+    first, second = list(where), where
+    for bit, q in enumerate(qs[-moved:]):
+        first[q], second[q] = bit, 1 - bit
+    first, second = tuple(first), tuple(second)
+    half = psi[first].copy()
+    psi[first] = psi[second]
+    psi[second] = half
+    return psi.reshape(-1)
 
 
 def run_circuit(circuit: QuantumCircuit, state: StateVector) -> StateVector:
-    """Apply the circuit gate by gate with per-gate stride arithmetic."""
+    """Apply the circuit gate by gate to a copy of the state's amplitudes."""
     if state.n_qubits != circuit.n_qubits:
         raise ValueError("state and circuit qubit counts differ")
     amps = state.amplitudes.copy()

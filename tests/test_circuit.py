@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -31,6 +32,44 @@ from photonc.circuit import (
     z,
 )
 from conftest import random_circuit
+
+
+def _per_index_unitary(gate: Gate, n: int) -> np.ndarray:
+    """gate_unitary's reference for a multi-qubit gate: its matrix built one
+    basis index at a time, with one branch per gate kind."""
+    def bit(index: int, qubit: int) -> int:
+        return (index >> (n - 1 - qubit)) & 1
+
+    def stride(qubit: int) -> int:
+        return 1 << (n - 1 - qubit)
+
+    u = np.zeros((1 << n, 1 << n), dtype=complex)
+    for src in range(1 << n):
+        dst, amp = src, 1.0
+        if gate.kind is GateKind.CNOT:
+            c, t = gate.qubits
+            if bit(src, c):
+                dst = src ^ stride(t)
+        elif gate.kind is GateKind.CZ:
+            a, b = gate.qubits
+            if bit(src, a) and bit(src, b):
+                amp = -1.0
+        elif gate.kind is GateKind.SWAP:
+            a, b = gate.qubits
+            if bit(src, a) != bit(src, b):
+                dst = src ^ stride(a) ^ stride(b)
+        elif gate.kind is GateKind.TOFFOLI:
+            c1, c2, t = gate.qubits
+            if bit(src, c1) and bit(src, c2):
+                dst = src ^ stride(t)
+        elif gate.kind is GateKind.FREDKIN:
+            c, a, b = gate.qubits
+            if bit(src, c) and bit(src, a) != bit(src, b):
+                dst = src ^ stride(a) ^ stride(b)
+        else:
+            raise AssertionError(f"{gate.kind} is not a multi-qubit gate")
+        u[dst, src] = amp
+    return u
 
 
 def _source(circ: QuantumCircuit) -> str:
@@ -287,6 +326,15 @@ class TestUnitaries:
         # control set: |101> <-> |110>
         assert u[6, 5] == 1.0 and u[5, 6] == 1.0
         assert u[5, 5] == 0.0
+
+    @pytest.mark.parametrize("kind", [k for k in GateKind if k.n_qubits > 1],
+                             ids=lambda k: k.value)
+    def test_multi_qubit_gates_match_the_per_index_reference(self, kind):
+        # Every operand order up to n = 5, controls after targets included.
+        for n in range(kind.n_qubits, 6):
+            for qubits in itertools.permutations(range(n), kind.n_qubits):
+                gate = Gate(kind, qubits)
+                assert np.array_equal(gate_unitary(gate, n), _per_index_unitary(gate, n)), gate
 
     def test_single_qubit_embedding_matches_kron(self):
         rng = np.random.default_rng(23)

@@ -548,6 +548,21 @@ def test_stdout_closed_at_start_is_exit_2(teleport_qc, argv):
     assert err == "error: cannot write to stdout: it is closed\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [["compile", "{qc}"], ["stats", "{net}"], ["demo", "mz"]],
+                         ids=["compile", "stats", "demo"])
+def test_full_stdout_is_exit_2_without_traceback(teleport_qc, teleport_netlist, argv):
+    # `photonc ... > /dev/full`: every write fails with ENOSPC, which must read
+    # as output that cannot be written, not as a traceback's exit 1 (verify's
+    # "NOT equivalent"), and leave nothing for the flush at interpreter exit.
+    with open("/dev/full", "w") as full:
+        proc = _photonc([arg.format(qc=teleport_qc, net=teleport_netlist) for arg in argv],
+                        stdout=full)
+        err = proc.communicate(timeout=120)[1].decode()
+    assert proc.returncode == 2
+    assert err.startswith("error: cannot write to stdout: [Errno 28]") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("source, argv, message", [
     ("qubits 1_0\nh 0\n", ["compile", "{qc}"], "line 1: bad qubit count '1_0'"),
     ("qubits 2\nh \u0661\n", ["compile", "{qc}"], "line 2: bad qubit index"),

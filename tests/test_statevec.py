@@ -131,6 +131,33 @@ class TestRunCircuit:
             expected = gate_unitary(gate, n) @ expected
         assert np.max(np.abs(circuit_unitary(circ) - expected)) < 1e-12
 
+    def test_input_state_is_left_unchanged(self):
+        # Phases and exchanges overwrite the amplitudes they are given; the
+        # first gate here is one, so only run_circuit's copy keeps the input.
+        rng = np.random.default_rng(41)
+        gates = [Gate(kind, tuple(int(q) for q in rng.permutation(3)[: kind.n_qubits]),
+                      tuple(rng.uniform(-np.pi, np.pi, size=kind.n_params)))
+                 for kind in [*reversed(GateKind), *GateKind]]
+        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+        state = StateVector(3, amps / np.linalg.norm(amps))
+        before = state.amplitudes.copy()
+        run_circuit(QuantumCircuit(3, tuple(gates)), state)
+        assert np.array_equal(state.amplitudes, before)
+
+    def test_phases_and_exchanges_give_a_phased_permutation(self):
+        # Every column and row of the unitary holds one entry, of modulus 1.
+        kinds = [GateKind.Z, GateKind.S, GateKind.PHASE, GateKind.CZ, GateKind.CNOT,
+                 GateKind.SWAP, GateKind.TOFFOLI, GateKind.FREDKIN]
+        rng = np.random.default_rng(43)
+        for n in (3, 4):
+            gates = [Gate(kind, tuple(int(q) for q in rng.permutation(n)[: kind.n_qubits]),
+                          tuple(rng.uniform(-np.pi, np.pi, size=kind.n_params)))
+                     for kind in rng.choice(kinds, size=30)]
+            u = circuit_unitary(QuantumCircuit(n, tuple(gates)))
+            nonzero = u != 0
+            assert (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all()
+            assert np.max(np.abs(np.abs(u[nonzero]) - 1)) < 1e-14
+
     def test_circuit_unitary_composes_left(self):
         circ = QuantumCircuit(1, (h(0), s(0)))
         rng = np.random.default_rng(3)
