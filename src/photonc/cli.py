@@ -54,14 +54,12 @@ def _load_circuit(path: str) -> QuantumCircuit:
 
 
 def _load_netlist(path: str) -> OpticalNetlist:
-    """The netlist in a file, loaded from its bytes: the one copy of the file."""
+    """The netlist in a file, loaded from the open file, a window of it at a
+    time when the writer wrote it (netlist_from_json)."""
     try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc}") from None
-    try:
-        return netlist_from_json(data)
-    except UnicodeDecodeError as exc:  # raised where the document reader decodes the bytes
+        with open(path, "rb") as file:
+            return netlist_from_json(file)
+    except (OSError, UnicodeDecodeError) as exc:  # the document reader decodes the bytes
         raise _UsageError(f"cannot read {path}: {exc}") from None
 
 

@@ -45,28 +45,41 @@ _permutations checked to permute the paths) for one decoder, _decode, of
 element documents only (the JSON loader's, and each element's to_doc() for
 the constructor, so a field of the wrong type or shape raises one
 NetlistError that names it, the same from either), the loader's reader of
-the writer's own text (_read_written, on the ASCII bytes a file is read
-into, with no copy: a newline scan a chunk at a time into int32 line
-positions, then each field read from the 8-byte word that ends the line the
-writer's indent-2 layout puts it on, a kind or pol filter by a byte lookup
-and an angle by a hash of its text; kept only if writing the netlist back
-gives the same bytes, compared a chunk at a time, which is what catches a
-misread), the compiler's columns and subset; then one vectorized checker,
-_check, checks path ranges, distinct pairs, polarized-only kinds, finite
-angles and disjoint layers by one sort of (layer, mode) keys (and _netlist
-refuses a source gate that is not a str). A subset's rows are rows of a
-checked table, and dropping rows breaks none of these rules, so its maps and
-table are not checked again. Element objects are views that net.layers,
-net.elements(), element_modes and element_unitary build on demand; the
-kernel, stats, pruning, diagram and JSON writer read the columns. The JSON
-format lives here: each kind's keys are spelled in its to_doc and in
-_DOC_KEYS, which the decoder and the writer both read. The writer yields the
-text a block of elements at a time (_json_pieces): netlist_to_json joins the
-blocks, and CLI compile writes them as they come. Each element is at most
-five cells of one text vocabulary (_element_blocks): a head, one or two
-paths (a map for a crossing), a pair's middle literal, and a tail holding
-everything after the last path, one text per distinct kind, pol and angle; a
-phase shifter is three cells.
+the writer's own text (_read_written), the compiler's columns and subset;
+then one vectorized checker, _check, checks path ranges, distinct pairs,
+polarized-only kinds and finite angles on the whole table, and disjoint
+layers by a sort of (layer, mode) keys per block of whole layers (and
+_netlist refuses a source gate that is not a str). A subset's rows are rows
+of a checked table, and dropping rows breaks none of these rules, so its
+maps and table are not checked again. Element objects are views that
+net.layers, net.elements(), element_modes and element_unitary build on
+demand; the kernel, stats, pruning, diagram and JSON writer read the
+columns.
+
+The reader takes the text a window of whole elements at a time, about
+_WINDOW bytes cut before an element's opening line (widened only for an
+element longer than that, such as a wide crossing map): a slice of a text
+in memory, or a file read with readinto into one reused buffer. Each
+window's table is read with no copy of its ASCII bytes: a newline scan a
+chunk at a time into int32 line positions, then each field read from the
+8-byte word that ends the line the writer's indent-2 layout puts it on, a
+kind or pol filter by a byte lookup and an angle by a hash of its text.
+The tables join as they come, each column grown in place, and a window's
+bytes are dropped once read, so a load holds the table, not the text. The
+table is kept only if writing it back gives the text's bytes exactly
+(compared a chunk at a time, a file read a second time unless one window
+held it all), which is what catches a misread.
+
+The JSON format lives here: each kind's keys are spelled in its to_doc and
+in _DOC_KEYS, which the decoder and the writer both read. The writer yields
+the text a block of _JSON_BLOCK elements at a time (_json_pieces):
+netlist_to_json joins the blocks, and CLI compile and the reader's
+write-back take them as they come. Each element is at most five cells of
+one text vocabulary (_element_blocks): a head, one or two paths (a map for
+a crossing), a pair's middle literal, and a tail holding everything after
+the last path, one text per distinct kind, pol and angle; a phase shifter
+is three cells. Only the path texts are made for the whole netlist; each
+block makes its own layer heads, maps and tails, and its own cell grid.
 
 A layer (disjoint 2x2 blocks, phases and path swaps, like a column of a Reck
 or Clements mesh) applies to a vector or the rows of a block, for
@@ -89,6 +102,7 @@ module's HADAMARD and PAULI_X constants.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
@@ -96,7 +110,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, pairwise
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -117,16 +131,16 @@ class SpaceTooLargeError(NetlistError):
 # `h` on a location qubit puts 1.5 elements on each path, so one gate's
 # netlist grows with 2^n_loc. For a lone `h 0` (2-vCPU host, a fresh process
 # each, wall time with the interpreter's start), CLI `compile`, which writes
-# its file a block at a time, took 0.29 / 0.34 / 0.51 s at 38 / 49 / 85 MB
-# peak RSS for a 3 / 12 / 50 MB file at 14 / 16 / 18 path bits, and `stats`
-# of that file 0.28 / 0.38 / 0.72 s at 40 / 60 / 134 MB. The file grows x4
-# per two bits, to 200 MB at 20, where `compile` took 1.4 s at 304 MB when
-# last measured: one gate's `compile` stays within a third of a gigabyte;
-# past 20, ModeSpace refuses before any loop starts. Reading a netlist back
-# costs about twice its file: CLI `stats` / `run` of a 44-gate circuit with
-# a pol qubit took 0.55 / 0.71 and 2.2 / 2.6 s at 172 and 568 MB peak RSS
-# for a 67 / 263 MB file at 14 / 16 path bits. That doubles per bit: about
-# 9 GB at 20 bits.
+# its file a block at a time, took 0.32 / 0.33 / 0.37 / 0.94 s at 36 / 42 /
+# 71 / 160 MB peak RSS for a 3 / 12 / 50 / 200 MB file at 14 / 16 / 18 / 20
+# path bits, and `stats` of that file 0.35 / 0.31 / 0.51 / 1.9 s at 36 / 43
+# / 68 / 177 MB: one gate stays within a fifth of a gigabyte; past 20,
+# ModeSpace refuses before any loop starts. Reading a netlist back holds its
+# table (26 bytes an element) and one window of the file, not the file: CLI
+# `stats` / `run` of a 44-gate circuit with a pol qubit took 0.8 / 0.9 and
+# 1.5-2.0 / 2.2 s at 55 / 71 and 113 / 132 MB peak RSS for a 67 / 263 MB
+# file at 14 / 16 path bits. The table doubles per bit: about 0.8 GB at 20
+# bits (an estimate for 30M rows; not run).
 MAX_PATH_BITS = 20
 
 
@@ -390,9 +404,13 @@ def _row_layers(offsets: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
 
 
+_CHECK_BLOCK = 1 << 13  # element rows (about) whose footprints are sorted at a time
+
+
 def _check(space: ModeSpace, table: ElementTable) -> None:
-    """Every rule of the module docstring that _table has not checked, on the
-    whole table at once."""
+    """Every rule of the module docstring that _table has not checked: each
+    column's on the whole table at once, disjoint layers by one sort of
+    (layer, mode) keys per block of whole layers (_layer_blocks)."""
     n, kind = space.n_paths, table.kind
     paired = (kind == BS) | (kind == PBS)
     for column, acts in ((table.a, kind != PERM), (table.b, paired)):
@@ -406,10 +424,11 @@ def _check(space: ModeSpace, table: ElementTable) -> None:
     finite = np.isfinite(table.angle)
     if not finite.all():
         raise NetlistError(f"angle must be a finite number, got {table.angle[~finite][0]}")
-    rows, modes = _footprint(table, space)
-    keys = np.sort(_row_layers(table.offsets)[rows] * space.dim + modes, kind="stable")
-    if (keys[1:] == keys[:-1]).any():
-        raise NetlistError("elements within a layer must act on disjoint modes")
+    for _, block in _layer_blocks(table, _CHECK_BLOCK):
+        rows, modes = _footprint(block, space)
+        keys = np.sort(_row_layers(block.offsets)[rows] * space.dim + modes, kind="stable")
+        if (keys[1:] == keys[:-1]).any():
+            raise NetlistError("elements within a layer must act on disjoint modes")
 
 
 def _netlist(space: ModeSpace, table: ElementTable, source_gates: Sequence[str] = (),
@@ -562,13 +581,15 @@ class OpticalNetlist:
 _KERNEL_BLOCK = 1 << 16  # element rows (about) whose kernel rows are built at a time
 
 
-def _layer_blocks(table: ElementTable) -> Iterator[tuple[int, ElementTable]]:
+def _layer_blocks(table: ElementTable, size: int = 0) -> Iterator[tuple[int, ElementTable]]:
     """(first row, block) of each block of whole layers, in order: the layers
-    that start within one run of _KERNEL_BLOCK rows. A block's columns and
-    maps are views of the table's; only its offsets and its a, where its
-    crossings are renumbered from 0, are new. A lone block is the table."""
+    that start within one run of size rows (_KERNEL_BLOCK unless given). A
+    block's columns and maps are views of the table's, and only its offsets
+    are new: its crossings' maps are its maps' rows in order, while a
+    crossing's a still names its row of the table's maps (no reader of a
+    block takes it). A lone block is the table."""
     offsets = table.offsets
-    firsts = np.flatnonzero(np.diff(offsets[:-1] // _KERNEL_BLOCK, prepend=-1)).tolist()
+    firsts = np.flatnonzero(np.diff(offsets[:-1] // (size or _KERNEL_BLOCK), prepend=-1)).tolist()
     if len(firsts) <= 1:
         yield 0, table
         return
@@ -576,10 +597,8 @@ def _layer_blocks(table: ElementTable) -> Iterator[tuple[int, ElementTable]]:
     for l0, l1 in zip(firsts, [*firsts[1:], len(offsets) - 1]):
         lo, hi = offsets[[l0, l1]].tolist()
         c0, c1 = np.searchsorted(perms, (lo, hi)).tolist()
-        kind = table.kind[lo:hi]
-        yield lo, ElementTable(kind, table.a[lo:hi] - c0 * (kind == PERM), table.b[lo:hi],
-                               table.angle[lo:hi], table.pol[lo:hi], offsets[l0:l1 + 1] - lo,
-                               table.maps[c0:c1])
+        yield lo, ElementTable(table.kind[lo:hi], table.a[lo:hi], table.b[lo:hi], table.angle[lo:hi],
+                               table.pol[lo:hi], offsets[l0:l1 + 1] - lo, table.maps[c0:c1])
 
 
 def _class_rows(n: int, dtypes: tuple, pieces: list) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -720,48 +739,56 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _element_blocks(table: ElementTable, starts: list[int]) -> Iterator[str]:
-    """The elements' text, a block of rows a string. Row r of an index grid
-    over a vocabulary of texts is element r's five cells: its head (a
-    separator, or the gap and "[" before layer starts[i], then its kind's
-    opening literal), its first path or map, for a splitter pair the middle
-    literal and second path, and its tail: every literal, pol and angle
-    after its last path, one text per distinct (kind, pol, angle bits; -0.0
-    is not 0.0). A row's pad cells are dropped before the join. Each path
-    an element or a map names (by a mask, with no sort) is written once,
-    each map from the path texts. Cells are int32 unless the vocabulary
-    needs more."""
-    n, kind, offsets = len(table.kind), table.kind.astype(np.int64), table.offsets
-    paired = (kind == BS) | (kind == PBS)
-    used = np.zeros(table.maps.shape[1], bool)  # path p's text is vocabulary entry p, "" if unused
-    used[table.a[kind != PERM]] = used[table.b[paired]] = used[table.maps] = True
-    path_texts = [repr(path) if use else "" for path, use in enumerate(used.tolist())]
-    angles, angle_index = _distinct(table.angle.view(np.int64))
-    # A tail per distinct (angle bits, kind, pol): pol in bits 0-1, kind in 2-4, the angle's index above.
-    keys, tail_index = _distinct(angle_index << 5 | kind << 2 | table.pol)
-    angle_texts = list(map(float.__repr__, angles.view(np.float64).tolist()))
-    tails = [_TAILS[key >> 2 & 7] % {"angle": angle_texts[key >> 5],
-                                      "pol": _json_string(_POL_FILTERS[key & 3])} for key in keys.tolist()]
-    parts = [
-        [",\n      " + pieces[0] for pieces in _ELEMENT_TEMPLATES],  # a layer's later heads
-        [_layer_gap(prev, k) + "[\n      " + _ELEMENT_TEMPLATES[code][0]
-         for prev, k, code in zip([-1, *starts], starts, kind[offsets[starts]].tolist())],
-        path_texts,
-        [_json_list(row, 4) for row in np.array(path_texts, dtype=object)[table.maps].tolist()],
-        [pieces[2] for pieces in _ELEMENT_TEMPLATES],  # a pair's middle literal
-        tails,
-    ]
-    head, lead, path, maps, middle, tail, size = np.cumsum([0, *map(len, parts)]).tolist()
-    grid = np.empty((n, 5), np.int32 if size < 1 << 31 else np.int64)  # int32 halves int64's bytes
-    grid[:, 0] = head + kind
-    grid[offsets[starts], 0] = lead + np.arange(len(starts))
-    grid[:, 1] = np.where(kind == PERM, maps, path) + table.a
-    grid[:, 2] = middle + kind
-    grid[:, 3] = path + table.b
-    grid[:, 4] = tail + tail_index
-    keep = paired[:, None] | np.array([True, True, False, False, True])  # cells 2, 3: pairs only
-    texts = np.array([text for part in parts for text in part], dtype=object)
+    """The elements' text, a block of _JSON_BLOCK rows a string. Row r of a
+    block's index grid over a vocabulary of texts is element r's five
+    cells: its head (a separator, or the gap and "[" before layer starts[i],
+    then its kind's opening literal), its first path or map, for a splitter
+    pair the middle literal and second path, and its tail: every literal,
+    pol and angle after its last path, one text per distinct (kind, pol,
+    angle bits; -0.0 is not 0.0). A row's pad cells are dropped before the
+    join. The vocabulary, built once with no list of it, holds each kind's
+    later head (a separator and its opening literal) and middle literal, a
+    text per path an element or a map names (found by a mask, with no sort),
+    and last room for a block's own texts; each block writes its own layer
+    heads, maps (from the path texts) and tails into that room, and fills
+    its grid and its tail indices, so no per-row array spans the netlist."""
+    n, kind, a, b, pol, angle = len(table.kind), table.kind, table.a, table.b, table.pol, table.angle
+    used = np.zeros(table.maps.shape[1], bool)
+    used[a[kind != PERM]] = used[b[(kind == BS) | (kind == PBS)]] = used[table.maps] = True
+    fixed = ([",\n      " + pieces[0] for pieces in _ELEMENT_TEMPLATES]
+             + [pieces[2] for pieces in _ELEMENT_TEMPLATES])
+    middle, paths, own = len(ELEMENT_KINDS), len(fixed), len(fixed) + len(used)  # path p's text: paths + p
+    texts = np.fromiter(chain(fixed, (repr(path) if use else "" for path, use in enumerate(used.tolist()))),
+                        object, own)
+    # Room for a block's own texts: its layers' heads, its maps and at most a
+    # tail a row (no block reads an entry it has not written).
+    texts.resize(own + len(starts) + len(table.maps) + min(n, _JSON_BLOCK), refcheck=False)
+    firsts = table.offsets[starts]  # each non-empty layer's first row
+    keep = np.array([True, True, False, False, True])  # cells 2, 3: pairs only
     for i in range(0, n, _JSON_BLOCK):
-        yield "".join(texts.take(grid[i:i + _JSON_BLOCK][keep[i:i + _JSON_BLOCK]]).tolist())
+        j = min(i + _JSON_BLOCK, n)
+        k, (l0, l1) = kind[i:j].astype(np.intp), np.searchsorted(firsts, (i, j)).tolist()
+        perms = np.flatnonzero(k == PERM)
+        angles, angle_index = _distinct(angle[i:j].view(np.int64))
+        # A tail per distinct (angle bits, kind, pol): pol in bits 0-1, kind in 2-4, the angle's index above.
+        keys, tail_index = _distinct(angle_index << 5 | k << 2 | pol[i:j])
+        angle_texts = list(map(float.__repr__, angles.view(np.float64).tolist()))
+        leads = [_layer_gap(prev, layer) + "[\n      " + _ELEMENT_TEMPLATES[code][0] for prev, layer, code
+                 in zip([-1, *starts][l0:l1], starts[l0:l1], kind[firsts[l0:l1]].tolist())]
+        maps = [_json_list(row, 4) for row in texts[paths + table.maps[a[i:j][perms]]].tolist()]
+        tails = [_TAILS[key >> 2 & 7] % {"angle": angle_texts[key >> 5],
+                                         "pol": _json_string(_POL_FILTERS[key & 3])} for key in keys.tolist()]
+        lead, mapped, tail = own, own + len(leads), own + len(leads) + len(maps)
+        texts[own:tail + len(tails)] = leads + maps + tails
+        grid = np.empty((j - i, 5), np.intp)
+        grid[:, 0] = k
+        grid[firsts[l0:l1] - i, 0] = lead + np.arange(l1 - l0)
+        grid[:, 1] = paths + a[i:j]
+        grid[perms, 1] = mapped + np.arange(len(perms))
+        grid[:, 2] = middle + k
+        grid[:, 3] = paths + b[i:j]
+        grid[:, 4] = tail + tail_index
+        yield "".join(texts.take(grid[((k == BS) | (k == PBS))[:, None] | keep]).tolist())
 
 
 def _json_pieces(netlist: OpticalNetlist) -> Iterator[str]:
@@ -863,9 +890,12 @@ _LAYOUT_READ = {"a": _layout_ints, "b": _layout_ints, "angle": _layout_floats, "
 
 
 def _layout_table(u8: np.ndarray, lo: int, hi: int, n_paths: int) -> ElementTable:
-    """The table of the layers text u8[lo:hi] of a text netlist_to_json
-    wrote, each field read on the line its layout gives (_SLOT_LINES).
-    Text in any other layout raises or reads as another table."""
+    """The table of u8[lo:hi], the layers text of a text netlist_to_json
+    wrote or a window of whole elements of it, each field read on the line
+    its layout gives (_SLOT_LINES). Its layers are those that open in it;
+    rows before the first open (in a window, the rest of the layer open
+    before it) are in no layer. Text in any other layout raises or reads as
+    another table."""
     # Each line's start, int32 while the text is under 2 GB, from a newline
     # scan of one chunk at a time: no mask spans the text. Once the element
     # and layer opens are found, each line's end is written over its start.
@@ -894,7 +924,80 @@ def _layout_table(u8: np.ndarray, lo: int, hi: int, n_paths: int) -> ElementTabl
     return _table(kind, *columns.values(), counts, _permutations(maps, n_paths, "crossing map"))
 
 
-def _read_written(data: bytes | str) -> OpticalNetlist | None:
+_WINDOW = 1 << 20  # text bytes (about) read into one table at a time
+_HEAD_BYTES = 256  # more than the writer's text takes up to the layers' "["
+_ELEMENT_LINE = b"\n      {"  # the newline before an element's opening line
+
+
+class _Text:
+    """A netlist text's bytes, a stretch at a time: the text itself when it
+    is in memory, each stretch a slice of it, else a binary file read from
+    its start with readinto into one buffer, which is reused, and replaced
+    by one twice as long only when it is full and a stretch needs more. buf
+    holds the text's bytes from offset at, filled of them."""
+
+    def __init__(self, source: bytes | BinaryIO):
+        if isinstance(source, bytes):
+            self.file, self.buf, self.at, self.filled, self.eof = None, source, 0, len(source), True
+        else:  # a byte longer than a small file, so that one read finds its end
+            self.file, self.buf = source, bytearray(min(source.seek(0, io.SEEK_END) + 1, _WINDOW))
+            self.rewind()
+
+    def rewind(self) -> None:
+        self.file.seek(0)
+        self.at, self.filled, self.eof = 0, 0, False
+
+    def fill(self, lo: int, size: int) -> int:
+        """Make buf hold size bytes from buf[lo], or all the text has left,
+        dropping the bytes before lo if the buffer is full; lo's index then."""
+        while not self.eof and lo + size > self.filled:
+            if self.filled == len(self.buf):
+                old, self.filled = self.buf, self.filled - lo
+                if not lo:
+                    self.buf = bytearray(2 * len(old))
+                memoryview(self.buf)[:self.filled] = memoryview(old)[lo:lo + self.filled]
+                self.at, lo = self.at + lo, 0
+            got = self.file.readinto(memoryview(self.buf)[self.filled:])
+            self.filled += got
+            self.eof = not got
+        return lo
+
+    def same(self, pieces: Iterable[str]) -> bool:
+        """Whether the pieces join to the whole text, compared _SCAN_CHUNK
+        bytes at a time, the file read again unless buf holds all of it."""
+        if self.at or not self.eof:
+            self.rewind()
+        at = 0
+        for piece in pieces:
+            for i in range(0, len(piece), _SCAN_CHUNK):
+                chunk = piece[i:i + _SCAN_CHUNK].encode("ascii")
+                at = self.fill(at, len(chunk))
+                if not self.buf.startswith(chunk, at, self.filled):
+                    return False
+                at += len(chunk)
+            del piece  # so that the writer makes the next block with this one gone
+        return self.fill(at, 1) == self.filled
+
+
+def _joined(table: ElementTable | None, window: ElementTable) -> ElementTable:
+    """table with the window's rows after its own (the window when table is
+    None), where the window's rows before its first layer open end table's
+    last layer. Each column grows in place (ndarray.resize, a realloc, which
+    moves a large column's pages instead of copying them), so the rows read
+    are never held twice."""
+    if table is None:  # its maps are a reshaped view, which resize refuses
+        return window._replace(maps=window.maps.copy())
+    n = len(table.kind)
+    window.a[window.kind == PERM] += len(table.maps)
+    parts = window._replace(offsets=n + len(window.kind) - window.offsets[-1] + window.offsets)
+    for column, part in zip(table, parts):
+        k = len(column) - (column is table.offsets)  # the window's offsets replace the table's end
+        column.resize((k + len(part), *part.shape[1:]), refcheck=False)
+        column[k:] = part
+    return table
+
+
+def _read_written(source: str | bytes | BinaryIO) -> OpticalNetlist | None:
     """The netlist of a text that netlist_to_json wrote, or None.
 
     A JSON document of a wide netlist is a dict, a list and boxed numbers
@@ -902,41 +1005,61 @@ def _read_written(data: bytes | str) -> OpticalNetlist | None:
     objects that outlive a load pin the allocator arenas those filled, so a
     process that loads netlist after netlist grew, and its peak memory
     changed from run to run. This reads each field on the line the writer's
-    layout puts it on instead (_layout_table), in the ASCII bytes themselves
-    (a str is encoded first), and takes the result only if writing it gives
-    back those bytes exactly, compared a chunk at a time; any other text is
-    left to the document reader, errors and all."""
-    if not data.isascii():
-        return None
-    if isinstance(data, str):
-        data = data.encode("ascii")
-    head, end = _WRITTEN_HEAD.match(data), data.rfind(_WRITTEN_META)
-    if head is None or end < 0:
-        return None
+    layout puts it on instead (_layout_table), in the ASCII bytes of a
+    window of whole elements at a time: about _WINDOW bytes cut before an
+    element's opening line, widened only while no element starts past its
+    first (a wide crossing map), and dropped once read, so only the table
+    grows with the text. In memory (a str is encoded first) a window is a
+    slice; a seekable binary file is read into one reused buffer (_Text).
+    The result is kept only if writing it gives back the text's bytes
+    exactly, compared a chunk at a time; any other text is left to the
+    document reader, errors and all."""
+    if isinstance(source, str):
+        if not source.isascii():
+            return None
+        source = source.encode("ascii")
+    text = _Text(source)
     try:
-        space = ModeSpace(int(head[1]), head[2] == b"true")
-        meta = json.loads(data[end + len(_WRITTEN_META):-2].decode("ascii"))
-        table = _layout_table(np.frombuffer(data, np.uint8), head.end(), end, space.n_paths)
+        text.fill(0, _HEAD_BYTES)
+        head = _WRITTEN_HEAD.match(text.buf)
+        if head is None:
+            return None
+        space, table = ModeSpace(int(head[1]), head[2] == b"true"), None
+        lo, size = text.fill(head.end(), _WINDOW), _WINDOW
+        while not (text.eof and lo + size >= text.filled):  # the last window runs to the meta
+            cut = text.buf.rfind(_ELEMENT_LINE, lo + 1, lo + size)
+            if cut < 0:
+                size *= 2
+            else:
+                window = _layout_table(np.frombuffer(text.buf, np.uint8), lo, cut, space.n_paths)
+                table, lo, size = _joined(table, window), cut, _WINDOW
+            lo = text.fill(lo, size)
+        end = text.buf.rfind(_WRITTEN_META, lo, text.filled)
+        if end < 0:
+            return None
+        meta = json.loads(text.buf[end + len(_WRITTEN_META):text.filled - 2].decode("ascii"))
+        table = _joined(table, _layout_table(np.frombuffer(text.buf, np.uint8), lo, end, space.n_paths))
         net = _netlist(space, table, meta["source_gates"], meta.get("output_relabel"))
     except (ArithmeticError, AttributeError, LookupError, RecursionError, TypeError, ValueError):
         return None  # not the writer's text: the document reader says why
-    at = 0
-    for piece in _json_pieces(net):  # a chunk at a time: no bytes copy of a whole block
-        for i in range(0, len(piece), _SCAN_CHUNK):
-            if not data.startswith(piece[i:i + _SCAN_CHUNK].encode("ascii"), at + i):
-                return None
-        at += len(piece)
-    return net if at == len(data) else None
+    return net if text.same(_json_pieces(net)) else None
 
 
-def netlist_from_json(text: str | bytes) -> OpticalNetlist:
-    """The netlist of a JSON text, or of a file's bytes: read by their line
-    layout when netlist_to_json wrote them, else as a JSON document, the
-    bytes decoded as UTF-8 (UnicodeDecodeError if they are not) with their
-    newlines translated as a text-mode read does."""
+def netlist_from_json(text: str | bytes | BinaryIO) -> OpticalNetlist:
+    """The netlist of a JSON text, or of a file's bytes or an open binary
+    file (read from its start; one that cannot seek, such as a pipe, is
+    read whole first): read by their line layout a window at a time when
+    netlist_to_json wrote them, else as a JSON document, the bytes read
+    whole and decoded as UTF-8 (UnicodeDecodeError if they are not) with
+    their newlines translated as a text-mode read does."""
+    if not isinstance(text, (str, bytes)) and not text.seekable():
+        text = text.read()
     net = _read_written(text)
     if net is not None:
         return net
+    if not isinstance(text, (str, bytes)):
+        text.seek(0)
+        text = text.read()
     if isinstance(text, bytes):  # json.loads would guess UTF-16 or UTF-32 from the bytes
         text = text.decode("utf-8")
         if "\r" in text:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from photonc import optics
+from photonc import cli, optics
 from photonc.cli import main
 from photonc.compiler import QubitAssignment, compile_circuit, device_stats, prune_dead_paths
 from photonc.optics import (
@@ -275,6 +275,24 @@ def test_layout_load_peaks_under_twice_the_file(wide_text, tmp_path):
         tracemalloc.stop()
     assert net.n_elements == 86537
     assert peak < 2 * len(wide_text), peak / len(wide_text)
+
+
+def test_cli_load_peaks_under_three_quarters_of_the_file(wide_text, tmp_path):
+    # The CLI hands the loader the open file, read a window of whole
+    # elements at a time into one reused buffer and checked against a
+    # second read: the table, one window's columns, one block of the
+    # write-back and the buffer are all it holds. Reading the whole file's
+    # bytes first peaked at about 1.97 times the file.
+    path = tmp_path / "wide.json"
+    path.write_text(wide_text, encoding="ascii")
+    tracemalloc.start()
+    try:
+        net = cli._load_netlist(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert net == netlist_from_json(wide_text + " ")
+    assert peak < 0.75 * len(wide_text), peak / len(wide_text)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64])
